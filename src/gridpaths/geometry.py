@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionViolation, UnknownId, WrongMode
 
@@ -282,21 +282,79 @@ def weak_general_position(rep: Representation) -> bool:
     return len(set(corners)) == len(corners)
 
 
-def build_graph(rep: Representation) -> IntersectionGraph:
-    """Derive the intersection graph by a pairwise scan.
+def _meeting_spans(spans: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Index pairs of closed intervals that share at least one point, by a
+    sweep over the lower ends: each interval is compared only with those
+    starting no later than its upper end."""
+    order = sorted(range(len(spans)), key=spans.__getitem__)
+    for a, i in enumerate(order):
+        hi = spans[i][1]
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            if spans[j][0] > hi:
+                break
+            yield i, j
 
-    In EPG mode weak general position is checked, not silently assumed.
+
+def candidate_pairs(boxes: list[tuple[int, int, int, int]]) -> Iterator[tuple[int, int]]:
+    """Unordered index pairs whose closed boxes (xlo, xhi, ylo, yhi) meet.
+
+    A sort-by-xlo sweep: only pairs whose x-extents meet are examined, so the
+    cost follows the number of box contacts rather than all n(n-1)/2 pairs.
     """
-    if rep.mode is Mode.EPG and not weak_general_position(rep):
-        raise GeneralPositionViolation("two EPG paths share a corner")
-    adjacent = vpg_adjacent if rep.mode is Mode.VPG else epg_adjacent
-    paths = rep.paths
-    adj: dict[str, set[str]] = {p.id: set() for p in paths}
+    for i, j in _meeting_spans([(b[0], b[1]) for b in boxes]):
+        if boxes[i][2] <= boxes[j][3] and boxes[j][2] <= boxes[i][3]:
+            yield i, j
+
+
+def collinear_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tuple[int, int]]:
+    """Unordered index pairs whose vertical parts lie on one column (or, with
+    vertical false, whose horizontal parts lie on one row) and whose closed
+    spans there meet.  Paths are grouped by corner column or row, then swept
+    within each group."""
+    groups: dict[int, list[int]] = {}
     for i, p in enumerate(paths):
-        for q in paths[i + 1 :]:
-            if adjacent(p, q):
-                adj[p.id].add(q.id)
-                adj[q.id].add(p.id)
+        groups.setdefault(p.corner.x if vertical else p.corner.y, []).append(i)
+    for members in groups.values():
+        spans = [paths[i].v_span if vertical else paths[i].h_span for i in members]
+        for a, b in _meeting_spans(spans):
+            yield members[a], members[b]
+
+
+def _adjacent_vpg_pairs(paths: Sequence[GridPath]) -> Iterator[tuple[GridPath, GridPath]]:
+    """VPG-adjacent pairs.  Both a proper crossing and a collinear overlap
+    lie in the two paths' bounding boxes, so box contacts are the candidates."""
+    for i, j in candidate_pairs([p.h_span + p.v_span for p in paths]):
+        if vpg_adjacent(paths[i], paths[j]):
+            yield paths[i], paths[j]
+
+
+def build_graph(rep: Representation) -> IntersectionGraph:
+    """Derive the intersection graph from candidate pairs only.
+
+    VPG mode tests the pairs whose bounding boxes meet (`candidate_pairs`).
+    EPG adjacency is a shared grid edge, which lies on a common corner row or
+    column, so EPG mode tests the pairs of `collinear_pairs`; a box sweep
+    would be no better than a pairwise scan there, since the paths of the
+    line-crossing families all contain a common point.  In EPG mode weak
+    general position is checked, not silently assumed.
+    """
+    paths = rep.paths
+    if rep.mode is Mode.VPG:
+        pairs = _adjacent_vpg_pairs(paths)
+    else:
+        if not weak_general_position(rep):
+            raise GeneralPositionViolation("two EPG paths share a corner")
+        pairs = (
+            (paths[i], paths[j])
+            for vertical in (False, True)
+            for i, j in collinear_pairs(paths, vertical)
+            if epg_adjacent(paths[i], paths[j])
+        )
+    adj: dict[str, set[str]] = {p.id: set() for p in paths}
+    for p, q in pairs:
+        adj[p.id].add(q.id)
+        adj[q.id].add(p.id)
     verts = tuple(sorted(adj))
     return IntersectionGraph(verts, {v: tuple(sorted(adj[v])) for v in verts})
 
@@ -306,14 +364,10 @@ def is_one_string(rep: Representation) -> bool:
     overlap-induced adjacency anywhere."""
     if rep.mode is not Mode.VPG:
         raise WrongMode("one-string applies to VPG representations")
-    paths = rep.paths
-    for i, p in enumerate(paths):
-        for q in paths[i + 1 :]:
-            if not vpg_adjacent(p, q):
-                continue
-            pts, overlap = crossing_points(p, q)
-            if overlap or len(pts) != 1:
-                return False
+    for p, q in _adjacent_vpg_pairs(rep.paths):
+        pts, overlap = crossing_points(p, q)
+        if overlap or len(pts) != 1:
+            return False
     return True
 
 

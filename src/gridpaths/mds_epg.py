@@ -15,6 +15,7 @@ from .geometry import (
     Representation,
     build_graph,
     classify_type,
+    collinear_pairs,
 )
 
 
@@ -83,16 +84,14 @@ def is_vertical_crossing(rep: Representation, vline: int) -> bool:
 
 def check_non_containment(rep: Representation) -> bool:
     """Among pairs whose vertical parts share a grid edge, neither vertical
-    part's point set may contain the other's."""
+    part's point set may contain the other's.  Only pairs on a common column
+    whose vertical parts meet are examined."""
     paths = rep.paths
-    for i, p in enumerate(paths):
-        for q in paths[i + 1 :]:
-            if p.corner.x != q.corner.x:
-                continue
-            p_lo, p_hi = p.v_span
-            q_lo, q_hi = q.v_span
-            if min(p_hi, q_hi) - max(p_lo, q_lo) < 1:
-                continue  # no shared edge
-            if (q_lo <= p_lo and p_hi <= q_hi) or (p_lo <= q_lo and q_hi <= p_hi):
-                return False
+    for i, j in collinear_pairs(paths, vertical=True):
+        p_lo, p_hi = paths[i].v_span
+        q_lo, q_hi = paths[j].v_span
+        if min(p_hi, q_hi) - max(p_lo, q_lo) < 1:
+            continue  # no shared edge
+        if (q_lo <= p_lo and p_hi <= q_hi) or (p_lo <= q_lo and q_hi <= p_hi):
+            return False
     return True

@@ -6,7 +6,9 @@ the corner ends stick out a quarter grid unit past the corner and the tip
 ends are pulled back three quarters.  Dominating sets translate to hitting
 sets over the supporting segments and back, and the hitting set itself is
 approximated by weighted epsilon-net sampling inside an iterative-doubling
-loop.
+loop.  A set is heavy for an eps-net when its weighted mass reaches eps times
+the total; with eps = p/q that is tested as mass * q >= p * total, exactly
+and in integers.
 
 All coordinates in this module are quarter units (public grid coordinates
 times four), which keeps the quarter offsets exact in integers.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from .geometry import (
     IntersectionGraph,
     Representation,
     build_graph,
+    candidate_pairs,
     is_one_string,
 )
 
@@ -83,7 +86,12 @@ class NetParams:
 @dataclass
 class SetSystem:
     """Hitting-set system: two supporting segments per path, one set per
-    cross, plus the mutable weights driving the reweighting loop."""
+    cross, plus the mutable weights driving the reweighting loop.
+
+    axis_elements and axis_sets (each set restricted to an axis's elements)
+    are derived from universe and sets at construction; they do not depend
+    on the weights, which the nets read afresh on every call.
+    """
 
     universe: list[Segment]
     sets: list[list[int]]
@@ -91,6 +99,19 @@ class SetSystem:
     crosses: list[Cross]
     path_ids: list[str]
     graph: IntersectionGraph
+    axis_elements: dict[Axis, list[int]] = field(init=False)
+    axis_sets: dict[Axis, list[list[int]]] = field(init=False)
+
+    def __post_init__(self):
+        self.axis_elements = {
+            axis: [i for i, s in enumerate(self.universe) if s.axis is axis]
+            for axis in Axis
+        }
+        self.axis_sets = {
+            axis: [[e for e in members if self.universe[e].axis is axis]
+                   for members in self.sets]
+            for axis in Axis
+        }
 
 
 def _support(axis: Axis, anchor: int, corner_c: int, tip_c: int, owner: str) -> tuple[Segment, bool]:
@@ -136,10 +157,20 @@ def crosses_intersect(a: Cross, b: Cross) -> bool:
     return False
 
 
+def _cross_box(c: Cross) -> tuple[int, int, int, int]:
+    """Closed bounding box of a cross's two supporting segments.  The corner
+    overhang can stick out past the path's own box, so the supports are
+    boxed, not the path."""
+    h, v = c.h_support, c.v_support
+    return (min(h.lo, v.anchor), max(h.hi, v.anchor), min(v.lo, h.anchor), max(v.hi, h.anchor))
+
+
 def build_set_system(rep: Representation) -> SetSystem:
     """Universe of all 2n supporting segments and, per cross, the set of
     elements meeting it.  A cross's own two segments belong to its set by
-    definition, regardless of degeneracy."""
+    definition, regardless of degeneracy.  Only crosses whose boxes meet
+    can share a point, and meeting is symmetric, so each such pair's four
+    segment tests fill both crosses' sets."""
     if not is_one_string(rep):
         raise NotOneString("set system requires a one-string representation")
     crosses = [build_cross(p) for p in rep.paths]
@@ -147,18 +178,16 @@ def build_set_system(rep: Representation) -> SetSystem:
     for c in crosses:
         universe.append(c.h_support)
         universe.append(c.v_support)
-    sets: list[list[int]] = []
-    for idx, c in enumerate(crosses):
-        members = {2 * idx, 2 * idx + 1}
-        for j, e in enumerate(universe):
-            if segments_intersect(e, c.h_support) or segments_intersect(
-                e, c.v_support
-            ):
-                members.add(j)
-        sets.append(sorted(members))
+    members = [{2 * idx, 2 * idx + 1} for idx in range(len(crosses))]
+    for i, k in candidate_pairs([_cross_box(c) for c in crosses]):
+        for a in (2 * i, 2 * i + 1):
+            for b in (2 * k, 2 * k + 1):
+                if segments_intersect(universe[a], universe[b]):
+                    members[i].add(b)
+                    members[k].add(a)
     return SetSystem(
         universe=universe,
-        sets=sets,
+        sets=[sorted(m) for m in members],
         weights=[1] * len(universe),
         crosses=crosses,
         path_ids=[p.id for p in rep.paths],
@@ -201,10 +230,6 @@ def verify_hitting(system: SetSystem, candidate: set[int]) -> int | None:
     return None
 
 
-def _axis_elements(system: SetSystem, axis: Axis) -> list[int]:
-    return [i for i, s in enumerate(system.universe) if s.axis is axis]
-
-
 def axis_net(
     system: SetSystem,
     axis: Axis,
@@ -223,20 +248,23 @@ def axis_net(
         raise ValueError("eps must lie in (0, 1]")
     if rng is None:
         rng = random.Random(params.rng_seed)
-    elements = _axis_elements(system, axis)
+    elements = system.axis_elements[axis]
     if not elements:
         return set()
-    weights = [system.weights[i] for i in elements]
+    weight = system.weights.__getitem__
+    weights = list(map(weight, elements))
     total = sum(weights)
     if total == 0:
         return set()
-    axis_set = set(elements)
-    demanding: list[set[int]] = []
-    for members in system.sets:
-        restricted = axis_set.intersection(members)
-        mass = sum(system.weights[e] for e in restricted)
-        if mass > 0 and mass >= eps * total:
-            demanding.append(restricted)
+    # mass >= eps * total, cross-multiplied: exact without Fraction arithmetic.
+    # Weights are non-negative, so total > 0 here and a set passing the test
+    # has positive mass.
+    bound, scale = eps.numerator * total, eps.denominator
+    demanding = [
+        restricted
+        for restricted in system.axis_sets[axis]
+        if sum(map(weight, restricted)) * scale >= bound
+    ]
     if not demanding:
         return set()
     size = max(
@@ -247,7 +275,7 @@ def axis_net(
     )
     for _ in range(params.max_resamples):
         net = set(rng.choices(elements, weights=weights, k=size))
-        if all(net & group for group in demanding):
+        if not any(net.isdisjoint(group) for group in demanding):
             return net
     raise NetFailure(f"no verified {eps}-net for axis {axis.value} after "
                      f"{params.max_resamples} samples")

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import itertools
 
-from gridpaths.geometry import GridPath, IntersectionGraph
+from gridpaths.geometry import (
+    GridPath,
+    IntersectionGraph,
+    Mode,
+    Representation,
+    crossing_points,
+    epg_adjacent,
+    vpg_adjacent,
+)
+from gridpaths.mds_vpg import build_cross, segments_intersect
 
 
 def h_points(p: GridPath) -> set[tuple[int, int]]:
@@ -86,3 +95,51 @@ def find_disjoint_optimum(g: IntersectionGraph, taboo: set[str], k: int) -> set[
         if covered == everything:
             return set(combo)
     return None
+
+
+# All-pairs references for the swept pair generators.  They call the same
+# pairwise predicates as the library (those are checked against the point
+# enumerations above) but visit every pair, so a pair the sweep misses shows.
+
+
+def pairwise_edges(rep: Representation) -> list[tuple[str, str]]:
+    adjacent = vpg_adjacent if rep.mode is Mode.VPG else epg_adjacent
+    out = set()
+    for p, q in itertools.combinations(rep.paths, 2):
+        if adjacent(p, q):
+            out.add((min(p.id, q.id), max(p.id, q.id)))
+    return sorted(out)
+
+
+def pairwise_one_string(rep: Representation) -> bool:
+    for p, q in itertools.combinations(rep.paths, 2):
+        if vpg_adjacent(p, q):
+            pts, overlap = crossing_points(p, q)
+            if overlap or len(pts) != 1:
+                return False
+    return True
+
+
+def pairwise_sets(rep: Representation) -> list[list[int]]:
+    """Per cross, every universe element meeting one of its two supports."""
+    crosses = [build_cross(p) for p in rep.paths]
+    universe = [s for c in crosses for s in (c.h_support, c.v_support)]
+    return [
+        sorted({2 * i, 2 * i + 1} | {
+            j for j, e in enumerate(universe)
+            if segments_intersect(e, c.h_support) or segments_intersect(e, c.v_support)
+        })
+        for i, c in enumerate(crosses)
+    ]
+
+
+def pairwise_non_containment(rep: Representation) -> bool:
+    for p, q in itertools.combinations(rep.paths, 2):
+        if p.corner.x != q.corner.x:
+            continue
+        (p_lo, p_hi), (q_lo, q_hi) = p.v_span, q.v_span
+        if min(p_hi, q_hi) - max(p_lo, q_lo) < 1:
+            continue
+        if (q_lo <= p_lo and p_hi <= q_hi) or (p_lo <= q_lo and q_hi <= p_hi):
+            return False
+    return True

@@ -1,0 +1,137 @@
+"""Byte-identity of the solvers' outputs with the pairwise-scan implementation.
+
+The digests below were computed by the all-pairs implementation of graph
+building, the one-string check, the set-system membership scan and the
+Fraction-based heavy-set test.  The output-sensitive replacements must
+reproduce them exactly: same edges, same set members in the same order, and
+the same random stream in the nets, hence the same answers.
+
+The instances are built here, not by the library generators, because those
+are nearly edgeless; each is seeded and dense enough that every path has a
+few neighbours.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from gridpaths.generators import gen_degree3_graph
+from gridpaths.geometry import GridPath, Mode, Representation, build_graph
+from gridpaths.mds_epg import greedy_line_mds
+from gridpaths.mds_vpg import NetParams, approx_mds_one_string, build_set_system
+from gridpaths.reduction import reduce_vc_to_mds
+
+TIP_SIGNS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _span(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _breaks_one_string(p, q):
+    """Shares a collinear grid edge, or crosses twice."""
+    ph, pv = _span(p.corner.x, p.h_tip.x), _span(p.corner.y, p.v_tip.y)
+    qh, qv = _span(q.corner.x, q.h_tip.x), _span(q.corner.y, q.v_tip.y)
+    if p.corner.y == q.corner.y and min(ph[1], qh[1]) - max(ph[0], qh[0]) >= 1:
+        return True
+    if p.corner.x == q.corner.x and min(pv[1], qv[1]) - max(pv[0], qv[0]) >= 1:
+        return True
+    return (ph[0] < q.corner.x < ph[1] and qv[0] < p.corner.y < qv[1]
+            and qh[0] < p.corner.x < qh[1] and pv[0] < q.corner.y < pv[1])
+
+
+def _random_path(rng, pid, window, min_arm, max_arm):
+    cx, cy = rng.randrange(window), rng.randrange(window)
+    sx, sy = TIP_SIGNS[rng.randrange(4)]
+    return GridPath.make(pid, cx, cy, cx + sx * rng.randint(min_arm, max_arm),
+                         cy + sy * rng.randint(min_arm, max_arm))
+
+
+def dense_vpg(seed, n, window, max_arm, one_string, min_arm=1):
+    """Mixed-type VPG paths with distinct corners; with one_string, each path
+    is redrawn until the instance stays one-string."""
+    rng = random.Random(seed)
+    paths, corners = [], set()
+    while len(paths) < n:
+        p = _random_path(rng, f"p{len(paths)}", window, min_arm, max_arm)
+        if p.corner in corners:
+            continue
+        if one_string and any(_breaks_one_string(p, q) for q in paths):
+            continue
+        paths.append(p)
+        corners.add(p.corner)
+    return Representation(Mode.VPG, tuple(paths))
+
+
+def dense_double_crossing(seed, n, box, reach):
+    """LL paths with distinct corners in [-box, -1]^2 crossing x = 0 and y = 0."""
+    rng = random.Random(seed)
+    paths, corners = [], set()
+    while len(paths) < n:
+        cx, cy = rng.randint(-box, -1), rng.randint(-box, -1)
+        if (cx, cy) in corners:
+            continue
+        corners.add((cx, cy))
+        paths.append(GridPath.make(f"p{len(paths)}", cx, cy,
+                                   rng.randint(0, reach), rng.randint(0, reach)))
+    return Representation(Mode.EPG, tuple(paths), vline=0, hline=0)
+
+
+def gadget(seed, n, m):
+    return reduce_vc_to_mds(gen_degree3_graph(n, m, seed)).rep
+
+
+ONE_STRING = [dense_vpg(1, 40, 16, 8, True), dense_vpg(2, 80, 24, 10, True),
+              dense_vpg(3, 120, 30, 12, True)]
+# Zero-length arms make degenerate crosses; the pipeline is not run on these
+# because touching contacts break the cross/path equivalence.
+DEGENERATE = [dense_vpg(10, 60, 20, 8, True, min_arm=0)]
+MIXED_VPG = [dense_vpg(seed, 150, 40, 10, False, min_arm=0) for seed in (4, 5)]
+EPG = [dense_double_crossing(6, 150, 20, 6), dense_double_crossing(7, 300, 25, 10),
+       gadget(8, 12, 16), gadget(9, 20, 28)]
+
+
+def edges_of(rep):
+    return build_graph(rep).edges()
+
+
+def test_instances_are_dense():
+    for rep in ONE_STRING + DEGENERATE + MIXED_VPG + EPG:
+        assert 2 * len(edges_of(rep)) >= len(rep.paths)
+
+
+def test_mds_one_string_answers():
+    answers = [sorted(approx_mds_one_string(rep, NetParams(rng_seed=seed)))
+               for rep in ONE_STRING for seed in (0, 7)]
+    assert digest(answers) == (
+        "dc8984865a76d95f2f8a30ff5e0e5ec96db67246ec1e3e079f6e32c3db5b6d14"
+    )
+
+
+def test_set_system_sets():
+    assert digest([build_set_system(rep).sets for rep in ONE_STRING + DEGENERATE]) == (
+        "c52ac7bb658538298de2a02d2282e6915bb9d43d0e96586d223025bf6adba3f4"
+    )
+
+
+def test_vpg_graph_edges():
+    assert digest([edges_of(rep) for rep in ONE_STRING + DEGENERATE + MIXED_VPG]) == (
+        "e0d19d661a219037c191a128743807f695d87e63d2f667dd4de00f5cf395c6be"
+    )
+
+
+def test_epg_graph_edges():
+    assert digest([edges_of(rep) for rep in EPG]) == (
+        "a9989d812a8ceb1809276cf88cc3dede3c3ce4ae64d953f7aa3d5239235b088c"
+    )
+
+
+def test_greedy_line_mds_answers():
+    assert digest([sorted(greedy_line_mds(rep)) for rep in EPG]) == (
+        "b69d85683d8493b3a5bf73ed476562ce174af180ac2a97f567b1a1d5b249d64a"
+    )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridpaths.errors import NotDominating, NotHitting, NotOneString
+from gridpaths.errors import NetFailure, NotDominating, NotHitting, NotOneString
 from gridpaths.exact import brute_hs, brute_mds
 from gridpaths.generators import gen_vpg
 from gridpaths.geometry import (
@@ -278,6 +278,29 @@ class TestNets:
     def test_empty_system(self):
         system = build_set_system(Representation(Mode.VPG, ()))
         assert combined_net(system, Fraction(1, 2), NetParams()) == set()
+
+    @pytest.mark.parametrize("light, demanding", [(3, True), (2, False)])
+    def test_heavy_set_boundary(self, light, demanding):
+        # Three far-apart paths whose horizontal elements weigh light and the
+        # rest of 30; with eps = 1/10 the bound is exactly 3 (where the float
+        # product 0.1 * 30 would exceed 3).  The draw is fixed to the other
+        # two elements, so the net fails exactly when the light set demands
+        # a hit.
+        class FixedDraw:
+            def choices(self, population, weights, k):
+                return [2, 4]
+
+        rep = Representation(Mode.VPG, (P("a", 0, 0, 3, 3), P("b", 30, 30, 33, 33),
+                                        P("c", 60, 60, 63, 63)))
+        system = build_set_system(rep)
+        system.weights[:] = [light, 1, 13, 1, 17 - light, 1]
+        params = NetParams(max_resamples=1)
+        eps = Fraction(1, 10)
+        if demanding:
+            with pytest.raises(NetFailure):
+                axis_net(system, Axis.H, eps, params, FixedDraw())
+        else:
+            assert axis_net(system, Axis.H, eps, params, FixedDraw()) == {2, 4}
 
     def test_invalid_eps(self):
         system = build_set_system(one_string_rep(4, 0))

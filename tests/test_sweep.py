@@ -1,0 +1,129 @@
+"""The swept candidate pairs miss nothing: graph building, the one-string
+check, set-system membership and the non-containment check agree with
+all-pairs scans on drawn instances crowded with contacts."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridpaths.generators import gen_degree3_graph
+from gridpaths.geometry import GridPath, Mode, Representation, build_graph, is_one_string
+from gridpaths.mds_epg import check_non_containment
+from gridpaths.mds_vpg import build_set_system
+from gridpaths.reduction import reduce_vc_to_mds
+
+from conftest import (
+    pairwise_edges,
+    pairwise_non_containment,
+    pairwise_one_string,
+    pairwise_sets,
+)
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+def P(pid, cx, cy, hx, vy):
+    return GridPath.make(pid, cx, cy, hx, vy)
+
+
+@st.composite
+def path_lists(draw, max_size=14):
+    """Paths in a small window, so boxes often touch at one coordinate.
+    Arms may have zero length (degenerate crosses); "row" and "column" put
+    every corner on two rows or two columns."""
+    crowd = draw(st.sampled_from(["free", "row", "column"]))
+    near = st.integers(0, 1)
+    coord = st.integers(-5, 5)
+    arm = st.integers(-4, 4)
+    paths = []
+    for i in range(draw(st.integers(0, max_size))):
+        cx = draw(near if crowd == "column" else coord)
+        cy = draw(near if crowd == "row" else coord)
+        paths.append(P(f"p{i}", cx, cy, cx + draw(arm), cy + draw(arm)))
+    return paths
+
+
+def distinct_corners(paths):
+    seen, out = set(), []
+    for p in paths:
+        if p.corner not in seen:
+            seen.add(p.corner)
+            out.append(p)
+    return out
+
+
+def one_string_subset(paths):
+    """Greedily keep the paths that leave the kept set one-string."""
+    kept = []
+    for p in paths:
+        if pairwise_one_string(Representation(Mode.VPG, (*kept, p))):
+            kept.append(p)
+    return kept
+
+
+@PROPERTY
+@given(path_lists())
+def test_vpg_graph_matches_pairwise(paths):
+    rep = Representation(Mode.VPG, tuple(paths))
+    assert build_graph(rep).edges() == pairwise_edges(rep)
+
+
+@PROPERTY
+@given(path_lists())
+def test_epg_graph_matches_pairwise(paths):
+    rep = Representation(Mode.EPG, tuple(distinct_corners(paths)))
+    assert build_graph(rep).edges() == pairwise_edges(rep)
+
+
+@PROPERTY
+@given(path_lists())
+def test_one_string_matches_pairwise(paths):
+    rep = Representation(Mode.VPG, tuple(paths))
+    assert is_one_string(rep) == pairwise_one_string(rep)
+
+
+@PROPERTY
+@given(path_lists(max_size=18))
+def test_set_system_matches_pairwise(paths):
+    rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
+    assert build_set_system(rep).sets == pairwise_sets(rep)
+
+
+@PROPERTY
+@given(path_lists())
+def test_non_containment_matches_pairwise(paths):
+    rep = Representation(Mode.EPG, tuple(paths))
+    assert check_non_containment(rep) == pairwise_non_containment(rep)
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.data())
+def test_gadget_graph_matches_pairwise(n, data):
+    m = data.draw(st.integers(0, min(3 * n // 2, n * (n - 1) // 2)))
+    rep = reduce_vc_to_mds(gen_degree3_graph(n, m, data.draw(st.integers(0, 99)))).rep
+    assert build_graph(rep).edges() == pairwise_edges(rep)
+
+
+# Pairs whose bounding boxes share exactly one coordinate line.
+TOUCHING = [
+    # Vertical parts on x = 4 overlap in two units: adjacent in both modes.
+    (P("a", 4, 0, 0, 4), P("b", 4, 2, 8, 6), True, True),
+    # Horizontal parts on y = 0 meet in the point x = 3 only.
+    (P("a", 0, 0, 3, 3), P("b", 3, 0, 6, -3), False, False),
+    # Tips meeting: b's vertical tip on a's horizontal tip.
+    (P("a", 0, 0, 3, 3), P("b", 3, 5, 5, 0), False, False),
+    # A T-junction: b's horizontal tip ends on a's vertical part.
+    (P("a", 0, 0, 3, 4), P("b", -2, 2, 0, 5), False, False),
+    # A single-point path on the other's corner.
+    (P("a", 0, 0, 0, 0), P("b", 0, 0, 2, 0), False, False),
+]
+
+
+@pytest.mark.parametrize("a, b, vpg, epg", TOUCHING)
+def test_touching_boxes(a, b, vpg, epg):
+    for mode, expected in ((Mode.VPG, vpg), (Mode.EPG, epg)):
+        if mode is Mode.EPG and a.corner == b.corner:
+            continue  # EPG needs distinct corners
+        rep = Representation(mode, (a, b))
+        graph = build_graph(rep)
+        assert graph.has_edge("a", "b") is expected
+        assert graph.edges() == pairwise_edges(rep)
