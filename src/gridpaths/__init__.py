@@ -54,6 +54,7 @@ from .mds_vpg import (
 )
 from .mds_epg import (
     check_non_containment,
+    detect_horizontal_line,
     detect_vertical_line,
     greedy_line_mds,
     is_double_crossing,

@@ -116,14 +116,6 @@ def _cmd_map_back(args) -> int:
     return 0
 
 
-def _detect_horizontal_line(rep: Representation) -> int | None:
-    if not rep.paths:
-        return None
-    lo = max(p.v_span[0] for p in rep.paths)
-    hi = min(p.v_span[1] for p in rep.paths)
-    return lo if lo <= hi else None
-
-
 def _cmd_verify(args) -> int:
     if args.check == "reduction":
         if not args.graph:
@@ -145,7 +137,7 @@ def _cmd_verify(args) -> int:
             ok = vline is not None and mds_epg.is_vertical_crossing(rep, vline)
         else:  # double-crossing
             vline = rep.vline if rep.vline is not None else mds_epg.detect_vertical_line(rep)
-            hline = rep.hline if rep.hline is not None else _detect_horizontal_line(rep)
+            hline = rep.hline if rep.hline is not None else mds_epg.detect_horizontal_line(rep)
             ok = (
                 vline is not None
                 and hline is not None

@@ -1,15 +1,20 @@
 """Exact brute-force solvers for desk-scale instances.
 
-All solvers use bitset adjacency and branch-and-bound, verify feasibility of
-their answer before returning, and are deterministic for a fixed input.  The
-size caps keep accidental research-scale calls from hanging; they are
-configuration constants and each solver accepts an explicit override.
+Two bitset branch-and-bound searches serve the four oracles.  A maximum
+independent set search answers MIS and, by complement, minimum vertex cover.
+A minimum cover search (fewest choices hitting every target) answers
+dominating set, where vertices hit their closed neighbourhoods, and hitting
+set, where elements hit the sets containing them.  Every oracle verifies
+feasibility of its answer before returning and is deterministic for a fixed
+input; only the optimum's size is contractual.  The size caps keep
+accidental research-scale calls from hanging; they are configuration
+constants and each solver accepts an explicit override.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .errors import TooLarge
+from .errors import Infeasible, TooLarge
 from .geometry import IntersectionGraph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,9 +27,7 @@ MAX_HS_UNIVERSE = 50
 MAX_HS_SETS = 25
 MAX_VC_VERTICES = 20
 
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+_popcount = int.bit_count
 
 
 def _bits(x: int):
@@ -47,19 +50,11 @@ def _index_graph(g: IntersectionGraph) -> tuple[list[str], list[int]]:
     return ids, masks
 
 
-def brute_mis(g: IntersectionGraph, cap: int = MAX_MIS_VERTICES) -> set[str]:
-    """Maximum independent set by branch and bound with a degree pivot.
-
-    Only the size is contractual; the returned set is one deterministic
-    maximizer.
-    """
-    if g.n > cap:
-        raise TooLarge(f"{g.n} vertices exceeds the cap of {cap}")
-    ids, adj = _index_graph(g)
-    n = len(ids)
-    if n == 0:
-        return set()
-
+def _max_independent(adj: list[int]) -> int:
+    """Maximum independent set of the graph with open-neighborhood bitmasks
+    adj, as a bitmask.  Seeded greedily by minimum degree; branches on the
+    highest-degree candidate."""
+    n = len(adj)
     # Greedy seed: repeatedly take the minimum-degree remaining vertex.
     best_set = 0
     remaining = (1 << n) - 1
@@ -81,69 +76,76 @@ def brute_mis(g: IntersectionGraph, cap: int = MAX_MIS_VERTICES) -> set[str]:
         search(candidates & ~(1 << v), chosen, size)
 
     search((1 << n) - 1, 0, 0)
-    result = {ids[i] for i in _bits(best[0])}
+    return best[0]
+
+
+def _min_cover(hitters: list[int], n_choices: int) -> int:
+    """Fewest of n_choices choices hitting every target, as a bitmask, where
+    hitters[t] is the bitmask of the choices hitting target t (never 0).
+
+    Seeded greedily by new coverage, lowest index on ties.  Branches on the
+    unhit target with the fewest hitters, trying them by new coverage; prunes
+    with a packing bound: unhit targets with pairwise disjoint hitters each
+    need their own choice.
+    """
+    full = (1 << len(hitters)) - 1
+    covers = [0] * n_choices  # covers[c]: the targets choice c hits
+    for t, mask in enumerate(hitters):
+        for c in _bits(mask):
+            covers[c] |= 1 << t
+    # The packing visits targets with few hitters first: they block little.
+    packing = sorted(range(len(hitters)), key=lambda t: (_popcount(hitters[t]), t))
+
+    chosen = covered = 0
+    while covered != full:
+        c = max(range(n_choices), key=lambda i: (_popcount(covers[i] & ~covered), -i))
+        chosen |= 1 << c
+        covered |= covers[c]
+    best = [chosen, _popcount(chosen)]
+
+    def lower_bound(uncovered: int) -> int:
+        bound = blocked = 0
+        for t in packing:
+            if uncovered >> t & 1 and not hitters[t] & blocked:
+                bound += 1
+                blocked |= hitters[t]
+        return bound
+
+    def search(covered: int, chosen: int, size: int):
+        if covered == full:
+            if size < best[1]:
+                best[0], best[1] = chosen, size
+            return
+        uncovered = full & ~covered
+        if size + lower_bound(uncovered) >= best[1]:
+            return
+        t = min(_bits(uncovered), key=lambda i: _popcount(hitters[i]))
+        for c in sorted(_bits(hitters[t]), key=lambda c: (-_popcount(covers[c] & uncovered), c)):
+            search(covered | covers[c], chosen | (1 << c), size + 1)
+
+    search(0, 0, 0)
+    return best[0]
+
+
+def brute_mis(g: IntersectionGraph, cap: int = MAX_MIS_VERTICES) -> set[str]:
+    """Maximum independent set by branch and bound with a degree pivot."""
+    if g.n > cap:
+        raise TooLarge(f"{g.n} vertices exceeds the cap of {cap}")
+    ids, adj = _index_graph(g)
+    result = {ids[i] for i in _bits(_max_independent(adj))}
     if not g.is_independent_set(result):
         raise RuntimeError("internal error: solver produced a dependent set")
     return result
 
 
 def brute_mds(g: IntersectionGraph, cap: int = MAX_MDS_VERTICES) -> set[str]:
-    """Minimum dominating set by set-cover branch and bound.
-
-    Branches on the undominated vertex with the fewest potential dominators;
-    prunes with a disjoint closed-neighborhood packing bound.
-    """
+    """Minimum dominating set: the fewest vertices whose closed
+    neighbourhoods cover every vertex."""
     if g.n > cap:
         raise TooLarge(f"{g.n} vertices exceeds the cap of {cap}")
     ids, adj = _index_graph(g)
-    n = len(ids)
-    if n == 0:
-        return set()
-    closed = [adj[i] | (1 << i) for i in range(n)]
-    full = (1 << n) - 1
-
-    def greedy() -> int:
-        chosen = 0
-        covered = 0
-        while covered != full:
-            v = max(range(n), key=lambda i: (_popcount(closed[i] & ~covered), -i))
-            chosen |= 1 << v
-            covered |= closed[v]
-        return chosen
-
-    best_mask = greedy()
-    best = [best_mask, _popcount(best_mask)]
-
-    def lower_bound(uncovered: int) -> int:
-        # Greedy packing of vertices with pairwise disjoint closed
-        # neighborhoods; each packed vertex needs its own dominator.
-        bound = 0
-        blocked = 0
-        for v in _bits(uncovered):
-            if closed[v] & blocked:
-                continue
-            bound += 1
-            blocked |= closed[v]
-        return bound
-
-    def search(covered: int, chosen_mask: int, size: int):
-        if covered == full:
-            if size < best[1]:
-                best[0], best[1] = chosen_mask, size
-            return
-        uncovered = full & ~covered
-        if size + lower_bound(uncovered) >= best[1]:
-            return
-        # Undominated vertex with the fewest candidate dominators.
-        u = min(_bits(uncovered), key=lambda i: _popcount(closed[i]))
-        cands = sorted(
-            _bits(closed[u]), key=lambda d: (-_popcount(closed[d] & uncovered), d)
-        )
-        for d in cands:
-            search(covered | closed[d], chosen_mask | (1 << d), size + 1)
-
-    search(0, 0, 0)
-    result = {ids[i] for i in _bits(best[0])}
+    closed = [m | (1 << i) for i, m in enumerate(adj)]
+    result = {ids[i] for i in _bits(_min_cover(closed, len(ids)))}
     if not g.is_dominating_set(result):
         raise RuntimeError("internal error: solver produced a non-dominating set")
     return result
@@ -161,56 +163,10 @@ def brute_hs(
         raise TooLarge(f"universe of {u} exceeds the cap of {universe_cap}")
     if m > sets_cap:
         raise TooLarge(f"{m} sets exceeds the cap of {sets_cap}")
-    set_masks = []
-    for members in system.sets:
-        mask = 0
-        for e in members:
-            mask |= 1 << e
-        set_masks.append(mask)
-
-    # Greedy seed: element hitting the most unhit sets.
-    def greedy() -> set[int]:
-        chosen: set[int] = set()
-        unhit = list(range(m))
-        while unhit:
-            counts = [0] * u
-            for c in unhit:
-                for e in _bits(set_masks[c]):
-                    counts[e] += 1
-            e = max(range(u), key=lambda i: (counts[i], -i))
-            chosen.add(e)
-            unhit = [c for c in unhit if not (set_masks[c] >> e) & 1]
-        return chosen
-
-    best = [greedy()]
-
-    def lower_bound(unhit: list[int]) -> int:
-        # Pairwise-disjoint unhit sets each need their own element.
-        blocked = 0
-        lb = 0
-        for c in sorted(unhit, key=lambda c: _popcount(set_masks[c])):
-            if set_masks[c] & blocked:
-                continue
-            lb += 1
-            blocked |= set_masks[c]
-        return lb
-
-    def search(unhit: list[int], chosen: set[int]):
-        if not unhit:
-            if len(chosen) < len(best[0]):
-                best[0] = set(chosen)
-            return
-        if len(chosen) + lower_bound(unhit) >= len(best[0]):
-            return
-        pick = min(unhit, key=lambda c: _popcount(set_masks[c]))
-        for e in _bits(set_masks[pick]):
-            rest = [c for c in unhit if not (set_masks[c] >> e) & 1]
-            chosen.add(e)
-            search(rest, chosen)
-            chosen.remove(e)
-
-    search(list(range(m)), set())
-    result = best[0]
+    set_masks = [sum(1 << e for e in set(members)) for members in system.sets]
+    if 0 in set_masks:
+        raise Infeasible("an empty set cannot be hit")
+    result = set(_bits(_min_cover(set_masks, u)))
     for members in system.sets:
         if not result & set(members):
             raise RuntimeError("internal error: solver missed a set")
@@ -218,30 +174,14 @@ def brute_hs(
 
 
 def brute_vc(g: "SimpleGraph", cap: int = MAX_VC_VERTICES) -> set[int]:
-    """Minimum vertex cover by branching on an uncovered edge."""
+    """Minimum vertex cover: the complement of a maximum independent set."""
     if g.n > cap:
         raise TooLarge(f"{g.n} vertices exceeds the cap of {cap}")
-    edges = list(g.edges)
-    best = [set(range(g.n))]
-
-    def search(remaining: Sequence[tuple[int, int]], chosen: set[int]):
-        if len(chosen) >= len(best[0]):
-            return
-        live = [(a, b) for a, b in remaining if a not in chosen and b not in chosen]
-        if not live:
-            best[0] = set(chosen)
-            return
-        a, b = live[0]
-        chosen.add(a)
-        search(live, chosen)
-        chosen.remove(a)
-        chosen.add(b)
-        search(live, chosen)
-        chosen.remove(b)
-
-    search(edges, set())
-    result = best[0]
-    for a, b in edges:
-        if a not in result and b not in result:
-            raise RuntimeError("internal error: solver missed an edge")
+    adj = [0] * g.n
+    for a, b in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    result = set(range(g.n)) - set(_bits(_max_independent(adj)))
+    if not g.is_vertex_cover(result):
+        raise RuntimeError("internal error: solver missed an edge")
     return result

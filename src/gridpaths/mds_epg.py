@@ -47,17 +47,26 @@ def greedy_line_mds(rep: Representation) -> set[str]:
     return chosen
 
 
+def _common_point(spans: list[tuple[int, int]]) -> int | None:
+    """Lowest integer in every closed span, or None when the spans have empty
+    common intersection (no spans report None)."""
+    if not spans:
+        return None
+    lo = max(lo for lo, _ in spans)
+    hi = min(hi for _, hi in spans)
+    return lo if lo <= hi else None
+
+
 def detect_vertical_line(rep: Representation) -> int | None:
     """Lowest integer x whose vertical line meets every horizontal part, or
-    None when the horizontal spans have empty common intersection (an empty
-    representation reports None)."""
-    if not rep.paths:
-        return None
-    lo = max(p.h_span[0] for p in rep.paths)
-    hi = min(p.h_span[1] for p in rep.paths)
-    if lo > hi:
-        return None
-    return lo
+    None when there is none (an empty representation reports None)."""
+    return _common_point([p.h_span for p in rep.paths])
+
+
+def detect_horizontal_line(rep: Representation) -> int | None:
+    """Lowest integer y whose horizontal line meets every vertical part, or
+    None when there is none (an empty representation reports None)."""
+    return _common_point([p.v_span for p in rep.paths])
 
 
 def is_double_crossing(rep: Representation, hline: int, vline: int) -> bool:

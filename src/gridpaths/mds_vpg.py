@@ -34,6 +34,7 @@ from .geometry import (
 SCALE = 4  # quarter units per grid unit
 _CORNER_OVERHANG = 1  # one quarter past the corner
 _TIP_PULLBACK = 3  # three quarters short of the tip
+_NET_ATTEMPTS = 2  # combined-net draws per round before the whole-universe net
 
 
 class Axis(Enum):
@@ -331,8 +332,9 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
     heavy set), so its elements' weights double.  Light sets can only double
     a bounded number of times before the guess is provably too small, at
     which point r doubles.  Once r reaches the universe size every set
-    qualifies for the nets, so termination is guaranteed; a sampling failure
-    falls back to the exhaustive net (the whole universe).  Redundant
+    qualifies for the nets, so termination is guaranteed.  A round draws the
+    combined net up to _NET_ATTEMPTS times; when every draw raises NetFailure
+    it falls back to the exhaustive net (the whole universe).  Redundant
     elements are pruned from the verified answer before returning.
     """
     n_elems = len(system.universe)
@@ -345,13 +347,14 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
         budget = max(1, math.ceil(4 * r * math.log2(n_elems / r + 2)))
         doublings = 0
         while doublings < budget:
-            try:
-                net = combined_net(system, Fraction(1, 2 * r), params, rng)
-            except NetFailure:
+            for _ in range(_NET_ATTEMPTS):
                 try:
                     net = combined_net(system, Fraction(1, 2 * r), params, rng)
+                    break
                 except NetFailure:
-                    net = set(range(n_elems))
+                    pass
+            else:
+                net = set(range(n_elems))
             unhit = verify_hitting(system, net)
             if unhit is None:
                 return _prune_hitting_set(system, net)

@@ -19,6 +19,7 @@ from gridpaths.geometry import (
     vpg_adjacent,
 )
 from gridpaths.mds_vpg import build_cross, segments_intersect
+from gridpaths.reduction import SimpleGraph
 
 
 def h_points(p: GridPath) -> set[tuple[int, int]]:
@@ -81,6 +82,27 @@ def exhaustive_max_independent(g: IntersectionGraph) -> set[str]:
             if g.is_independent_set(combo):
                 return set(combo)
     return set()
+
+
+def exhaustive_min_vertex_cover(g: SimpleGraph) -> set[int]:
+    """Smallest vertex cover by size-ascending subset enumeration."""
+    for k in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), k):
+            chosen = set(combo)
+            if all(a in chosen or b in chosen for a, b in g.edges):
+                return chosen
+    return set(range(g.n))
+
+
+def exhaustive_min_hitting_set(universe_size: int, sets) -> set[int] | None:
+    """Smallest set of elements meeting every set, by size-ascending subset
+    enumeration; None when some set is empty."""
+    for k in range(universe_size + 1):
+        for combo in itertools.combinations(range(universe_size), k):
+            chosen = set(combo)
+            if all(chosen & set(members) for members in sets):
+                return chosen
+    return None
 
 
 def find_disjoint_optimum(g: IntersectionGraph, taboo: set[str], k: int) -> set[str] | None:

@@ -1,4 +1,6 @@
 """Brute-force oracles and the seeded generators."""
+import random
+
 import pytest
 
 from gridpaths.errors import Infeasible, TooLarge
@@ -14,7 +16,13 @@ from gridpaths.mds_epg import check_non_containment, is_double_crossing, is_vert
 from gridpaths.mds_vpg import build_set_system
 from gridpaths.reduction import SimpleGraph
 
-from conftest import exhaustive_max_independent, exhaustive_min_dominating
+from conftest import (
+    exhaustive_max_independent,
+    exhaustive_min_dominating,
+    exhaustive_min_hitting_set,
+    exhaustive_min_vertex_cover,
+)
+from test_golden import dense_vpg
 
 
 def graph_from(n, edges):
@@ -81,6 +89,38 @@ class TestBruteHs:
         stub.sets = [sorted(s) for s in sets]
         return stub
 
+    def test_beats_the_greedy_seed(self):
+        # Element 2 hits the most sets, but the only optimum is {0, 1}.
+        sets = [{0, 2}, {0, 2}, {0, 3}, {1, 2}, {1, 2}, {1, 4}]
+        assert brute_hs(self._system(5, sets)) == {0, 1}
+
+    def test_empty_set_is_infeasible(self):
+        with pytest.raises(Infeasible):
+            brute_hs(self._system(3, [{0, 1}, set()]))
+
+    def test_one_string_systems_match_exhaustive(self):
+        for seed in range(12):
+            n = 6 + seed % 5
+            rep = dense_vpg(seed, n, 8, 8, True, min_arm=3)
+            assert build_graph(rep).edges()
+            system = build_set_system(rep)
+            expected = exhaustive_min_hitting_set(len(system.universe), system.sets)
+            assert len(brute_hs(system)) == len(expected)
+
+    def test_random_systems_match_exhaustive(self):
+        # Each system has a singleton set and an element in no set.
+        for seed in range(40):
+            rng = random.Random(seed)
+            u = rng.randint(3, 12)
+            sets = [{rng.randrange(u - 1)}]
+            sets += [set(rng.sample(range(u - 1), rng.randint(1, min(3, u - 1))))
+                     for _ in range(rng.randint(1, 12))]
+            rng.shuffle(sets)
+            system = self._system(u, sets)
+            hs = brute_hs(system)
+            assert u - 1 not in hs
+            assert len(hs) == len(exhaustive_min_hitting_set(u, sets))
+
     def test_one_set(self):
         assert len(brute_hs(self._system(2, [{0, 1}]))) == 1
 
@@ -116,6 +156,20 @@ class TestBruteVc:
     def test_cap(self):
         with pytest.raises(TooLarge):
             brute_vc(SimpleGraph(21, ()))
+
+    def test_degree3_graphs_match_exhaustive(self):
+        for seed in range(30):
+            n = 4 + seed % 9
+            g = gen_degree3_graph(n, random.Random(seed).randint(0, 3 * n // 2), seed)
+            assert len(brute_vc(g)) == len(exhaustive_min_vertex_cover(g))
+
+    def test_dense_graphs_match_exhaustive(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            n, p = 1 + seed % 12, 0.2 + 0.2 * (seed % 4)
+            g = SimpleGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p))
+            assert len(brute_vc(g)) == len(exhaustive_min_vertex_cover(g))
 
 
 class TestGenVpg:

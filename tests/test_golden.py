@@ -4,7 +4,10 @@ The digests below were computed by the all-pairs implementation of graph
 building, the one-string check, the set-system membership scan and the
 Fraction-based heavy-set test.  The output-sensitive replacements must
 reproduce them exactly: same edges, same set members in the same order, and
-the same random stream in the nets, hence the same answers.
+the same random stream in the nets, hence the same answers.  The digest of
+the exact independent-set and dominating-set answers was computed by the
+separate branch-and-bound searches that preceded the shared ones in
+`gridpaths.exact`; the shared searches must return the same sets.
 
 The instances are built here, not by the library generators, because those
 are nearly edgeless; each is seeded and dense enough that every path has a
@@ -16,6 +19,7 @@ import hashlib
 import json
 import random
 
+from gridpaths.exact import brute_mds, brute_mis
 from gridpaths.generators import gen_degree3_graph
 from gridpaths.geometry import GridPath, Mode, Representation, build_graph
 from gridpaths.mds_epg import greedy_line_mds
@@ -134,4 +138,26 @@ def test_epg_graph_edges():
 def test_greedy_line_mds_answers():
     assert digest([sorted(greedy_line_mds(rep)) for rep in EPG]) == (
         "b69d85683d8493b3a5bf73ed476562ce174af180ac2a97f567b1a1d5b249d64a"
+    )
+
+
+# Desk-scale instances for the exact oracles: one-string and mixed VPG paths
+# at n <= 25, and a 21-path reduction gadget.
+DESK = [dense_vpg(seed, n, window, max_arm, one_string)
+        for seed in range(30, 40)
+        for n, window, max_arm in ((15, 7, 5), (20, 9, 6), (25, 10, 6))
+        for one_string in (True, False)] + [gadget(3, 3, 3)]
+
+
+def test_desk_instances_have_edges():
+    assert all(edges_of(rep) for rep in DESK)
+
+
+def test_exact_oracle_answers():
+    graphs = [build_graph(rep) for rep in DESK]
+    answers = [sorted(brute_mis(g)) for g in graphs]
+    answers += [sorted(brute_mds(g)) for g in graphs]
+    answers.append(sorted(brute_mds(build_graph(gadget(2, 6, 7)), cap=44)))
+    assert digest(answers) == (
+        "84c7cd56159f18ffa16481840cbb8353e321c083b15905fef92dde6e1051dce2"
     )

@@ -15,6 +15,7 @@ from gridpaths.geometry import (
 )
 from gridpaths.mds_epg import (
     check_non_containment,
+    detect_horizontal_line,
     detect_vertical_line,
     greedy_line_mds,
     is_double_crossing,
@@ -114,6 +115,23 @@ class TestDetectVerticalLine:
 
     def test_empty(self):
         assert detect_vertical_line(Representation(Mode.EPG, ())) is None
+
+
+class TestDetectHorizontalLine:
+    def test_common_intersection(self):
+        rep = Representation(Mode.EPG, (P("a", 0, 0, 1, 6), P("b", 3, 4, 4, 9)))
+        assert detect_horizontal_line(rep) == 4
+
+    def test_touching_spans(self):
+        rep = Representation(Mode.EPG, (P("a", 0, 0, 1, 5), P("b", 3, 9, 4, 5)))
+        assert detect_horizontal_line(rep) == 5
+
+    def test_disjoint_spans(self):
+        rep = Representation(Mode.EPG, (P("a", 0, 0, 1, 1), P("b", 3, 5, 4, 8)))
+        assert detect_horizontal_line(rep) is None
+
+    def test_empty(self):
+        assert detect_horizontal_line(Representation(Mode.EPG, ())) is None
 
 
 class TestIsDoubleCrossing:

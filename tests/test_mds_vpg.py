@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gridpaths import mds_vpg
 from gridpaths.errors import NetFailure, NotDominating, NotHitting, NotOneString
 from gridpaths.exact import brute_hs, brute_mds
 from gridpaths.generators import gen_vpg
@@ -331,6 +332,25 @@ class TestBgHittingSet:
             opt = len(brute_hs(system))
             worst = max(worst, len(hs) / opt)
         assert worst <= 6.0
+
+    @pytest.mark.parametrize("failures, calls", [(1, 2), (2, 2)])
+    def test_net_retry_then_universe(self, monkeypatch, failures, calls):
+        # One retry after a NetFailure; a second failure in the same round
+        # falls back to the whole universe, which hits every set at once.
+        rep = Representation(Mode.VPG, (P("a", 0, 0, 3, 3), P("b", 30, 30, 33, 33)))
+        system = build_set_system(rep)
+        seen = []
+
+        def flaky(system, eps, params, rng):
+            seen.append(eps)
+            if len(seen) <= failures:
+                raise NetFailure("forced")
+            return {0, 2}
+
+        monkeypatch.setattr(mds_vpg, "combined_net", flaky)
+        hs = bg_hitting_set(system, NetParams(rng_seed=0))
+        assert seen == [Fraction(1, 2)] * calls
+        assert len(hs) == 2 and verify_hitting(system, hs) is None
 
     def test_deterministic(self):
         rep = one_string_rep(12, 9)
