@@ -148,8 +148,8 @@ def _cmd_verify(args) -> int:
 
 
 _FAMILY_FOR_ALGO = {
-    "mis": "vpg-one-string",
-    "mds-vpg": "vpg-one-string",
+    "mis": ("vpg-one-string",),
+    "mds-vpg": ("vpg-one-string",),
     "mds-epg": ("epg-double-crossing", "epg-vertical-crossing"),
 }
 
@@ -163,10 +163,7 @@ def _bench_instance(family: str, n: int, seed: int) -> Representation:
 
 
 def _cmd_bench(args) -> int:
-    allowed = _FAMILY_FOR_ALGO[args.algo]
-    if isinstance(allowed, str):
-        allowed = (allowed,)
-    if args.family not in allowed:
+    if args.family not in _FAMILY_FOR_ALGO[args.algo]:
         print(
             f"algorithm {args.algo} cannot run on family {args.family}",
             file=sys.stderr,

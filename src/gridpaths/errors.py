@@ -10,7 +10,9 @@ class WrongMode(GridPathsError):
 
 
 class GeneralPositionViolation(GridPathsError):
-    """Two paths share a corner point where weak general position is required."""
+    """Two paths share a corner point where weak general position is required,
+    or, in the one-string dominating-set pipeline, two paths only touch while
+    their crosses meet (a zero-length arm leaves a corner on the other path)."""
 
 
 class UnknownId(GridPathsError):

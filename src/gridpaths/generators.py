@@ -26,10 +26,10 @@ def _random_paths(rng: random.Random, n: int, spread: int) -> list[GridPath]:
     paths = []
     for i in range(n):
         sx, sy = _TIP_SIGNS[rng.randrange(4)]
-        h_len = rng.randint(1, 6)
-        v_len = rng.randint(1, 6)
+        h_arm = rng.randint(1, 6)
+        v_arm = rng.randint(1, 6)
         paths.append(
-            GridPath.make(f"p{i}", xs[i], ys[i], xs[i] + sx * h_len, ys[i] + sy * v_len)
+            GridPath.make(f"p{i}", xs[i], ys[i], xs[i] + sx * h_arm, ys[i] + sy * v_arm)
         )
     return paths
 

@@ -66,19 +66,6 @@ class GridPath:
         """Closed y-interval covered by the vertical part."""
         return _minmax(self.corner.y, self.v_tip.y)
 
-    @property
-    def x_span(self) -> tuple[int, int]:
-        """Closed x-extent of the whole path (the vertical part adds nothing)."""
-        return self.h_span
-
-    @property
-    def h_len(self) -> int:
-        return abs(self.h_tip.x - self.corner.x)
-
-    @property
-    def v_len(self) -> int:
-        return abs(self.v_tip.y - self.corner.y)
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -139,14 +126,6 @@ class IntersectionGraph:
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
-
-    def induced(self, keep: Iterable[str]) -> "IntersectionGraph":
-        keep_set = set(keep)
-        verts = tuple(sorted(keep_set))
-        adj = {
-            u: tuple(w for w in self.adjacency[u] if w in keep_set) for u in verts
-        }
-        return IntersectionGraph(verts, adj)
 
     def is_independent_set(self, ids: Iterable[str]) -> bool:
         chosen = sorted(set(ids))

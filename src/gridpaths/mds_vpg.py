@@ -10,6 +10,10 @@ loop.  A set is heavy for an eps-net when its weighted mass reaches eps times
 the total; with eps = p/q that is tested as mass * q >= p * total, exactly
 and in integers.
 
+Where a zero-length arm puts a corner on another path's perpendicular part,
+the two crosses meet although the paths only touch; the pipeline refuses
+such input.
+
 All coordinates in this module are quarter units (public grid coordinates
 times four), which keeps the quarter offsets exact in integers.
 """
@@ -21,7 +25,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NetFailure, NotDominating, NotHitting, NotOneString, UnknownId
+from .errors import (
+    GeneralPositionViolation,
+    NetFailure,
+    NotDominating,
+    NotHitting,
+    NotOneString,
+    UnknownId,
+)
 from .geometry import (
     GridPath,
     IntersectionGraph,
@@ -35,6 +46,8 @@ SCALE = 4  # quarter units per grid unit
 _CORNER_OVERHANG = 1  # one quarter past the corner
 _TIP_PULLBACK = 3  # three quarters short of the tip
 _NET_ATTEMPTS = 2  # combined-net draws per round before the whole-universe net
+_SAMPLE_CONSTANT = 4.0  # net size factor on (1/eps) log(1/eps + 2)
+_MAX_RESAMPLES = 64  # verified-net draws per axis before NetFailure
 
 
 class Axis(Enum):
@@ -71,17 +84,9 @@ class Cross:
 
 @dataclass(frozen=True)
 class NetParams:
-    """Tuning knobs for the sampling net finder, with the RNG seed."""
+    """The seed of the net sampler's random stream."""
 
-    sample_constant: float = 4.0
-    max_resamples: int = 64
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_constant < 1:
-            raise ValueError("sample_constant must be at least 1")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples must be positive")
 
 
 @dataclass
@@ -97,7 +102,6 @@ class SetSystem:
     universe: list[Segment]
     sets: list[list[int]]
     weights: list[int]
-    crosses: list[Cross]
     path_ids: list[str]
     graph: IntersectionGraph
     axis_elements: dict[Axis, list[int]] = field(init=False)
@@ -190,7 +194,6 @@ def build_set_system(rep: Representation) -> SetSystem:
         universe=universe,
         sets=[sorted(m) for m in members],
         weights=[1] * len(universe),
-        crosses=crosses,
         path_ids=[p.id for p in rep.paths],
         graph=build_graph(rep),
     )
@@ -242,7 +245,7 @@ def axis_net(
     weighted mass reaches eps times the axis total.
 
     Each sample is verified exhaustively; failed draws are retried up to
-    params.max_resamples times before NetFailure.
+    _MAX_RESAMPLES times before NetFailure.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -271,15 +274,15 @@ def axis_net(
     size = max(
         1,
         math.ceil(
-            params.sample_constant * float(1 / eps) * math.log(float(1 / eps) + 2)
+            _SAMPLE_CONSTANT * float(1 / eps) * math.log(float(1 / eps) + 2)
         ),
     )
-    for _ in range(params.max_resamples):
+    for _ in range(_MAX_RESAMPLES):
         net = set(rng.choices(elements, weights=weights, k=size))
         if not any(net.isdisjoint(group) for group in demanding):
             return net
     raise NetFailure(f"no verified {eps}-net for axis {axis.value} after "
-                     f"{params.max_resamples} samples")
+                     f"{_MAX_RESAMPLES} samples")
 
 
 def combined_net(
@@ -368,10 +371,29 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
         r *= 2
 
 
+def _refuse_touching(system: SetSystem) -> None:
+    """Raise GeneralPositionViolation unless every set's member owners lie in
+    its path's closed neighbourhood.  A zero-length arm can leave a corner on
+    another path's perpendicular part; the remaining arm's support then
+    overhangs across that part, so the crosses meet although the paths only
+    touch, and a hitting set need not dominate."""
+    for pid, members in zip(system.path_ids, system.sets):
+        closed = system.graph.closed_neighborhood(pid)
+        for e in members:
+            owner = system.universe[e].owner
+            if owner not in closed:
+                raise GeneralPositionViolation(
+                    f"paths {pid} and {owner} only touch, but their crosses meet"
+                )
+
+
 def approx_mds_one_string(rep: Representation, params: NetParams) -> set[str]:
     """Dominating set via the set system, the doubling hitting set, and the
-    owner mapping; the answer is verified to dominate before returning."""
+    owner mapping.  Input where two paths only touch but their crosses meet
+    is refused with GeneralPositionViolation before any net is drawn; the
+    answer is verified to dominate before returning."""
     system = build_set_system(rep)
+    _refuse_touching(system)
     hitting = bg_hitting_set(system, params)
     ds = hs_to_ds(hitting, system)
     if not system.graph.is_dominating_set(ds):

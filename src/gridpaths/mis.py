@@ -65,7 +65,7 @@ def partition_LMR(
     middle: list[GridPath] = []
     right: list[GridPath] = []
     for p in paths:
-        lo, hi = p.x_span
+        lo, hi = p.h_span
         if hi < xmed:
             left.append(p)
         elif lo > xmed:
@@ -115,21 +115,20 @@ def approx_mis_single_type(paths: Sequence[GridPath]) -> set[str]:
         raise ValueError(f"mixed bend types: {sorted(k.value for k in kinds)}")
     sx, sy = _REFLECT[kinds.pop()]
     frame = [_reflect(p, sx, sy) for p in paths]
-    depth_cap = len(frame) + 2
 
-    def solve(group: Sequence[GridPath], depth: int) -> set[str]:
-        if depth > depth_cap:
-            raise RuntimeError("median recursion failed to shrink")
+    def solve(group: Sequence[GridPath]) -> set[str]:
         if len(group) <= 2:
             return _base_case(group)
         xmed = compute_xmed(group)
+        # At most n // 2 corners lie left of xmed and n - n // 2 right of it,
+        # so both recursive groups are smaller than the group.
         left, middle, right = partition_LMR(group, xmed)
-        side = solve(left, depth + 1) | solve(right, depth + 1)
+        side = solve(left) | solve(right)
         central = _exact_mis(middle)
         # Equality favors the two-sided answer, for reproducibility.
         return side if len(side) >= len(central) else central
 
-    return solve(frame, 0)
+    return solve(frame)
 
 
 def approx_mis(rep: Representation) -> set[str]:

@@ -177,6 +177,15 @@ class TestCliCommands:
         )
         assert run(["solve", "mds-vpg", "--input", str(inst)]) == 1
 
+    def test_touching_contact_exit_code(self, tmp_path, capsys):
+        # A zero-length arm puts a's corner on b's vertical part.
+        inst = tmp_path / "touch.txt"
+        inst.write_text("mode vpg\npath a 0 2 -3 2\npath b 0 0 3 4\n", encoding="utf-8")
+        assert run(["solve", "mds-vpg", "--input", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: GeneralPositionViolation")
+        assert "Traceback" not in err
+
     def test_gen_graph_infeasible_exit_code(self, tmp_path):
         assert run(["gen-graph", "--n", "2", "--m", "3", "--seed", "0"]) == 1
 

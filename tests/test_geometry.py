@@ -54,7 +54,6 @@ class TestGridPath:
         p = P("a", 2, 3, -1, 7)
         assert p.h_span == (-1, 2)
         assert p.v_span == (3, 7)
-        assert p.x_span == (-1, 2)
 
 
 class TestClassifyType:

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from gridpaths import mds_vpg
-from gridpaths.errors import NetFailure, NotDominating, NotHitting, NotOneString
+from gridpaths.errors import (
+    GeneralPositionViolation,
+    NetFailure,
+    NotDominating,
+    NotHitting,
+    NotOneString,
+)
 from gridpaths.exact import brute_hs, brute_mds
 from gridpaths.generators import gen_vpg
 from gridpaths.geometry import (
@@ -295,7 +301,7 @@ class TestNets:
                                         P("c", 60, 60, 63, 63)))
         system = build_set_system(rep)
         system.weights[:] = [light, 1, 13, 1, 17 - light, 1]
-        params = NetParams(max_resamples=1)
+        params = NetParams()
         eps = Fraction(1, 10)
         if demanding:
             with pytest.raises(NetFailure):
@@ -385,4 +391,20 @@ class TestPipeline:
     def test_rejects_non_one_string(self):
         rep = Representation(Mode.VPG, (P("a", 0, 0, 6, 6), P("b", 5, 5, -1, -1)))
         with pytest.raises(NotOneString):
+            approx_mds_one_string(rep, NetParams())
+
+    def test_refuses_touching_contact(self, monkeypatch):
+        # a's vertical arm has zero length and its corner lies on b's
+        # vertical part: the paths only touch, but a's horizontal support
+        # overhangs a quarter unit across b's, so the crosses meet.
+        a, b = P("a", 0, 2, -3, 2), P("b", 0, 0, 3, 4)
+        assert not vpg_adjacent(a, b)
+        assert crosses_intersect(build_cross(a), build_cross(b))
+
+        def no_nets(*args):
+            raise AssertionError("a net was drawn")
+
+        monkeypatch.setattr(mds_vpg, "combined_net", no_nets)
+        rep = Representation(Mode.VPG, (a, b))
+        with pytest.raises(GeneralPositionViolation, match="paths a and b"):
             approx_mds_one_string(rep, NetParams())

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpaths.errors import TooFewPaths
 from gridpaths.generators import gen_vpg
@@ -113,6 +115,30 @@ class TestPartitionLMR:
             assert {p.id for p in left} | {p.id for p in middle} | {
                 p.id for p in right
             } == {p.id for p in rep.paths}
+
+
+@st.composite
+def single_type_paths(draw):
+    """n >= 2 LL paths (the frame the recursion works in) with arms of
+    length 0-4, their corners on few columns so that many share one."""
+    column = st.integers(0, draw(st.integers(0, 6)))
+    arm = st.integers(0, 4)
+    paths = []
+    for i in range(draw(st.integers(2, 30))):
+        cx, cy = draw(column), draw(st.integers(-5, 5))
+        paths.append(P(f"p{i}", cx, cy, cx + draw(arm), cy + draw(arm)))
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_type_paths())
+def test_median_split_shrinks(paths):
+    # The recursion's termination rests on this: both sides of the split
+    # are smaller than the group.
+    n = len(paths)
+    left, _, right = partition_LMR(paths, compute_xmed(paths))
+    assert len(left) <= n // 2
+    assert len(right) <= n - n // 2
 
 
 class TestApproxMisSingleType:

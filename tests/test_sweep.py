@@ -1,17 +1,28 @@
 """The swept candidate pairs miss nothing: graph building, the one-string
 check, set-system membership and the non-containment check agree with
-all-pairs scans on drawn instances crowded with contacts."""
+all-pairs scans on drawn instances crowded with contacts, and the
+dominating-set pipeline built on them is total."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridpaths.errors import GeneralPositionViolation
 from gridpaths.generators import gen_degree3_graph
 from gridpaths.geometry import GridPath, Mode, Representation, build_graph, is_one_string
 from gridpaths.mds_epg import check_non_containment
-from gridpaths.mds_vpg import build_set_system
+from gridpaths.mds_vpg import (
+    NetParams,
+    approx_mds_one_string,
+    build_cross,
+    build_set_system,
+    crosses_intersect,
+)
 from gridpaths.reduction import reduce_vc_to_mds
 
 from conftest import (
+    hand_vpg_adjacent,
     pairwise_edges,
     pairwise_non_containment,
     pairwise_one_string,
@@ -86,6 +97,26 @@ def test_one_string_matches_pairwise(paths):
 def test_set_system_matches_pairwise(paths):
     rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
     assert build_set_system(rep).sets == pairwise_sets(rep)
+
+
+@PROPERTY
+@given(path_lists(), st.integers(0, 3))
+def test_mds_pipeline_is_total(paths, seed):
+    """The pipeline returns a dominating set, or refuses input with a pair
+    of paths that only touch while their crosses meet; it never fails
+    internally (a RuntimeError would fail this test)."""
+    rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
+    touching = any(
+        crosses_intersect(build_cross(a), build_cross(b)) and not hand_vpg_adjacent(a, b)
+        for a, b in itertools.combinations(rep.paths, 2)
+    )
+    try:
+        ds = approx_mds_one_string(rep, NetParams(rng_seed=seed))
+    except GeneralPositionViolation:
+        assert touching
+    else:
+        assert not touching
+        assert build_graph(rep).is_dominating_set(ds)
 
 
 @PROPERTY
