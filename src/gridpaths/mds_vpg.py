@@ -6,9 +6,18 @@ the corner ends stick out a quarter grid unit past the corner and the tip
 ends are pulled back three quarters.  Dominating sets translate to hitting
 sets over the supporting segments and back, and the hitting set itself is
 approximated by weighted epsilon-net sampling inside an iterative-doubling
-loop.  A set is heavy for an eps-net when its weighted mass reaches eps times
-the total; with eps = p/q that is tested as mass * q >= p * total, exactly
-and in integers.
+loop.  The loop reweights in phases: each net is verified once, and every
+light set it misses has its weight doubled in that one pass, so a solve
+draws a handful of nets per guess rather than one per doubling.  A set is
+heavy for an eps-net when its weighted mass reaches eps times the total;
+with eps = p/q that is tested as mass * q >= p * total, exactly and in
+integers.
+
+The nets are plain weighted samples of 4 (1/eps) ln(1/eps + 2) elements.
+Nets of size O((1/eps) log(1/eps)) certify an O(log OPT) approximation
+factor (Bronnimann and Goodrich, 1995), and that is the factor this module
+guarantees.  The paper's O(1) factor needs nets of size O(1/eps) for this
+set system, which no net finder here provides.
 
 Where a zero-length arm puts a corner on another path's perpendicular part,
 the two crosses meet although the paths only touch; the pipeline refuses
@@ -94,7 +103,8 @@ class SetSystem:
     """Hitting-set system: two supporting segments per path, one set per
     cross, plus the mutable weights driving the reweighting loop.
 
-    axis_elements and axis_sets (each set restricted to an axis's elements)
+    axis_elements, axis_sets (each set restricted to an axis's elements) and
+    element_sets (per element, the ascending indices of the sets holding it)
     are derived from universe and sets at construction; they do not depend
     on the weights, which the nets read afresh on every call.
     """
@@ -106,8 +116,13 @@ class SetSystem:
     graph: IntersectionGraph
     axis_elements: dict[Axis, list[int]] = field(init=False)
     axis_sets: dict[Axis, list[list[int]]] = field(init=False)
+    element_sets: list[list[int]] = field(init=False)
 
     def __post_init__(self):
+        self.element_sets = [[] for _ in self.universe]
+        for idx, members in enumerate(self.sets):
+            for e in members:
+                self.element_sets[e].append(idx)
         self.axis_elements = {
             axis: [i for i, s in enumerate(self.universe) if s.axis is axis]
             for axis in Axis
@@ -311,13 +326,11 @@ def _prune_hitting_set(system: SetSystem, net: set[int]) -> set[int]:
     Elements covering few sets go first, so widely shared elements survive;
     ties break on the index, keeping the scan deterministic.
     """
+    containing = system.element_sets
     counts = [0] * len(system.sets)
-    containing: dict[int, list[int]] = {e: [] for e in net}
-    for idx, members in enumerate(system.sets):
-        for e in members:
-            if e in containing:
-                counts[idx] += 1
-                containing[e].append(idx)
+    for e in net:
+        for idx in containing[e]:
+            counts[idx] += 1
     kept = set(net)
     for e in sorted(net, key=lambda e: (len(containing[e]), e)):
         if all(counts[idx] >= 2 for idx in containing[e]):
@@ -328,25 +341,35 @@ def _prune_hitting_set(system: SetSystem, net: set[int]) -> set[int]:
 
 
 def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
-    """Hitting set by iterative doubling over an optimum guess r.
+    """Hitting set by iterative doubling over an optimum guess r, reweighted
+    in phases (Agarwal and Pan, SoCG 2014).
 
-    For each guess the weights reset to one and 1/(2r)-nets are drawn; an
-    unhit set returned by the verifier is light (a verified net hits every
-    heavy set), so its elements' weights double.  Light sets can only double
-    a bounded number of times before the guess is provably too small, at
-    which point r doubles.  Once r reaches the universe size every set
-    qualifies for the nets, so termination is guaranteed.  A round draws the
-    combined net up to _NET_ATTEMPTS times; when every draw raises NetFailure
-    it falls back to the exhaustive net (the whole universe).  Redundant
-    elements are pruned from the verified answer before returning.
+    For each guess the weights reset to one and 1/(2r)-nets are drawn.  A
+    round draws one net and verifies it once; from the first unhit set on,
+    it walks every set the net misses.  A verified net hits every heavy set,
+    so these sets were light when it was drawn.  Each counts one doubling
+    against the guess's budget, and each still light against the current
+    masses (earlier doublings of the pass can make a set heavy) doubles its
+    elements' weights.  The per-set masses and the total are kept
+    incrementally, so a doubling touches only the sets holding the doubled
+    elements.  Light sets can only double a bounded number of times
+    before the guess is provably too small, at which point r doubles.  Once
+    r reaches the universe size every set qualifies for the nets, so
+    termination is guaranteed.  A round draws the combined net up to
+    _NET_ATTEMPTS times; when every draw raises NetFailure it falls back to
+    the exhaustive net (the whole universe).  Redundant elements are pruned
+    from the verified answer before returning.
     """
     n_elems = len(system.universe)
     if n_elems == 0:
         return set()
     rng = random.Random(params.rng_seed)
+    weights, sets, element_sets = system.weights, system.sets, system.element_sets
     r = 1
     while True:
-        system.weights[:] = [1] * n_elems
+        weights[:] = [1] * n_elems
+        masses = [len(members) for members in sets]
+        total = n_elems
         budget = max(1, math.ceil(4 * r * math.log2(n_elems / r + 2)))
         doublings = 0
         while doublings < budget:
@@ -358,16 +381,23 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
                     pass
             else:
                 net = set(range(n_elems))
-            unhit = verify_hitting(system, net)
-            if unhit is None:
+            first = verify_hitting(system, net)
+            if first is None:
                 return _prune_hitting_set(system, net)
-            doublings += 1
-            members = system.sets[unhit]
-            mass = sum(system.weights[e] for e in members)
-            total = sum(system.weights)
-            if 2 * r * mass <= total:
-                for e in members:
-                    system.weights[e] *= 2
+            for idx in range(first, len(sets)):
+                if doublings >= budget:
+                    break
+                members = sets[idx]
+                if not net.isdisjoint(members):
+                    continue
+                doublings += 1
+                if 2 * r * masses[idx] <= total:
+                    for e in members:
+                        w = weights[e]
+                        weights[e] = 2 * w
+                        total += w
+                        for s in element_sets[e]:
+                            masses[s] += w
         r *= 2
 
 

@@ -38,6 +38,8 @@ from gridpaths.mds_vpg import (
     verify_hitting,
 )
 
+from test_golden import dense_vpg
+
 
 def P(pid, cx, cy, hx, vy):
     return GridPath.make(pid, cx, cy, hx, vy)
@@ -357,6 +359,39 @@ class TestBgHittingSet:
         hs = bg_hitting_set(system, NetParams(rng_seed=0))
         assert seen == [Fraction(1, 2)] * calls
         assert len(hs) == 2 and verify_hitting(system, hs) is None
+
+    def test_one_pass_doubles_every_light_unhit_set(self, monkeypatch):
+        # Four spokes cross the centre's horizontal part.  An empty net
+        # misses all five sets; the one pass doubles each spoke's set in
+        # turn, and the centre's shared element with it, until the centre's
+        # set (last) weighs 25 of 33 and is heavy against the current
+        # masses, so it is counted but left alone.
+        center = P("c", 0, 0, 12, 2)
+        spokes = [P(f"s{k}", 2 * k + 1, -1, 2 * k + 2, 1) for k in range(4)]
+        system = build_set_system(Representation(Mode.VPG, tuple(spokes + [center])))
+        assert system.sets[4] == [1, 3, 5, 7, 8, 9]
+        nets = [set(), set(range(10))]
+        monkeypatch.setattr(mds_vpg, "combined_net", lambda *args: nets.pop(0))
+        assert bg_hitting_set(system, NetParams()) == {8}
+        assert nets == []
+        assert system.weights == [2, 2, 2, 2, 2, 2, 2, 2, 16, 1]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rounds_collapse_on_a_dense_instance(self, monkeypatch, seed):
+        # Doubling one unhit set per net took about two hundred nets here;
+        # doubling every light unhit set per net takes a handful.
+        system = build_set_system(dense_vpg(5, 150, 300, 30, True))
+        real = mds_vpg.combined_net
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(mds_vpg, "combined_net", counted)
+        hs = bg_hitting_set(system, NetParams(rng_seed=seed))
+        assert verify_hitting(system, hs) is None
+        assert len(calls) <= 20
 
     def test_deterministic(self):
         rep = one_string_rep(12, 9)

@@ -100,6 +100,16 @@ def test_set_system_matches_pairwise(paths):
 
 
 @PROPERTY
+@given(path_lists(max_size=18))
+def test_element_sets_transpose_sets(paths):
+    system = build_set_system(Representation(Mode.VPG, tuple(one_string_subset(paths))))
+    assert system.element_sets == [
+        [idx for idx, members in enumerate(system.sets) if e in members]
+        for e in range(len(system.universe))
+    ]
+
+
+@PROPERTY
 @given(path_lists(), st.integers(0, 3))
 def test_mds_pipeline_is_total(paths, seed):
     """The pipeline returns a dominating set, or refuses input with a pair
