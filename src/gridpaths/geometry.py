@@ -286,18 +286,33 @@ def candidate_pairs(boxes: list[tuple[int, int, int, int]]) -> Iterator[tuple[in
             yield i, j
 
 
-def collinear_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tuple[int, int]]:
-    """Unordered index pairs whose vertical parts lie on one column (or, with
-    vertical false, whose horizontal parts lie on one row) and whose closed
-    spans there meet.  Paths are grouped by corner column or row, then swept
-    within each group."""
-    groups: dict[int, list[int]] = {}
+def shared_edge_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tuple[int, int]]:
+    """Unordered index pairs whose vertical parts (or, with vertical false,
+    horizontal parts) share at least one unit grid edge.
+
+    The parts of positive length are grouped by corner column (or row) as
+    (lo, hi, index) and each group is sorted once.  A part is paired with the
+    later parts of its group while their lower end lo2 stays below its upper
+    end hi; both parts have positive length, so each such pair overlaps by
+    min(hi, hi2) - lo2 >= 1, and the first lo2 >= hi ends the walk.  A
+    zero-length part shares no edge and is never grouped.
+    """
+    groups: dict[int, list[tuple[int, int, int]]] = {}
     for i, p in enumerate(paths):
-        groups.setdefault(p.corner.x if vertical else p.corner.y, []).append(i)
-    for members in groups.values():
-        spans = [paths[i].v_span if vertical else paths[i].h_span for i in members]
-        for a, b in _meeting_spans(spans):
-            yield members[a], members[b]
+        if vertical:
+            line, a, b = p.corner.x, p.corner.y, p.v_tip.y
+        else:
+            line, a, b = p.corner.y, p.corner.x, p.h_tip.x
+        if a != b:
+            groups.setdefault(line, []).append((a, b, i) if a < b else (b, a, i))
+    for group in groups.values():
+        group.sort()
+        for k, (_, hi, i) in enumerate(group):
+            for m in range(k + 1, len(group)):
+                lo2, _, j = group[m]
+                if lo2 >= hi:
+                    break
+                yield i, j
 
 
 def _adjacent_vpg_pairs(paths: Sequence[GridPath]) -> Iterator[tuple[GridPath, GridPath]]:
@@ -309,14 +324,15 @@ def _adjacent_vpg_pairs(paths: Sequence[GridPath]) -> Iterator[tuple[GridPath, G
 
 
 def build_graph(rep: Representation) -> IntersectionGraph:
-    """Derive the intersection graph from candidate pairs only.
+    """Derive the intersection graph without scanning all pairs.
 
     VPG mode tests the pairs whose bounding boxes meet (`candidate_pairs`).
     EPG adjacency is a shared grid edge, which lies on a common corner row or
-    column, so EPG mode tests the pairs of `collinear_pairs`; a box sweep
-    would be no better than a pairwise scan there, since the paths of the
-    line-crossing families all contain a common point.  In EPG mode weak
-    general position is checked, not silently assumed.
+    column, so EPG edges come straight out of one sort per corner row and
+    column (`shared_edge_pairs`), at cost O(n log n + edges) with no pairwise
+    re-test; a box sweep would be no better than a pairwise scan there, since
+    the paths of the line-crossing families all contain a common point.  In
+    EPG mode weak general position is checked, not silently assumed.
     """
     paths = rep.paths
     if rep.mode is Mode.VPG:
@@ -327,8 +343,7 @@ def build_graph(rep: Representation) -> IntersectionGraph:
         pairs = (
             (paths[i], paths[j])
             for vertical in (False, True)
-            for i, j in collinear_pairs(paths, vertical)
-            if epg_adjacent(paths[i], paths[j])
+            for i, j in shared_edge_pairs(paths, vertical)
         )
     adj: dict[str, set[str]] = {p.id: set() for p in paths}
     for p, q in pairs:

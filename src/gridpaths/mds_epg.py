@@ -15,7 +15,7 @@ from .geometry import (
     Representation,
     build_graph,
     classify_type,
-    collinear_pairs,
+    shared_edge_pairs,
 )
 
 
@@ -93,14 +93,13 @@ def is_vertical_crossing(rep: Representation, vline: int) -> bool:
 
 def check_non_containment(rep: Representation) -> bool:
     """Among pairs whose vertical parts share a grid edge, neither vertical
-    part's point set may contain the other's.  Only pairs on a common column
-    whose vertical parts meet are examined."""
+    part's point set may contain the other's.  Only the pairs that
+    `shared_edge_pairs` emits for the corner columns are examined; a
+    zero-length vertical part shares no edge, so it is never compared."""
     paths = rep.paths
-    for i, j in collinear_pairs(paths, vertical=True):
+    for i, j in shared_edge_pairs(paths, vertical=True):
         p_lo, p_hi = paths[i].v_span
         q_lo, q_hi = paths[j].v_span
-        if min(p_hi, q_hi) - max(p_lo, q_lo) < 1:
-            continue  # no shared edge
         if (q_lo <= p_lo and p_hi <= q_hi) or (p_lo <= q_lo and q_hi <= p_hi):
             return False
     return True

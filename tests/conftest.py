@@ -155,6 +155,17 @@ def pairwise_sets(rep: Representation) -> list[list[int]]:
     ]
 
 
+def pairwise_shared_edges(rep: Representation, vertical: bool) -> list[tuple[str, str]]:
+    """Id pairs whose vertical parts (or, with vertical false, horizontal
+    parts) share a unit grid edge, i.e. at least two grid points."""
+    points = v_points if vertical else h_points
+    return sorted(
+        (min(p.id, q.id), max(p.id, q.id))
+        for p, q in itertools.combinations(rep.paths, 2)
+        if len(points(p) & points(q)) >= 2
+    )
+
+
 def pairwise_non_containment(rep: Representation) -> bool:
     for p, q in itertools.combinations(rep.paths, 2):
         if p.corner.x != q.corner.x:

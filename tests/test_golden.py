@@ -11,6 +11,9 @@ separate branch-and-bound searches that preceded the shared ones in
 dominating-set answers were re-pinned when `bg_hitting_set` moved from
 doubling one unhit set per net to doubling every light unhit set in one
 verification pass, which changes the weights the later nets are drawn from.
+The vertical-crossing digest was computed while EPG edges were still
+re-tested pair by pair with `epg_adjacent`; the shared-edge sweep that
+replaced that test must reproduce it.
 
 The instances are built here, not by the library generators, because those
 are nearly edgeless; each is seeded and dense enough that every path has a
@@ -89,6 +92,24 @@ def dense_double_crossing(seed, n, box, reach):
     return Representation(Mode.EPG, tuple(paths), vline=0, hline=0)
 
 
+def dense_vertical_crossing(seed, n, columns, rows, reach):
+    """Paths with distinct corners in [-columns, -1] x [-rows, rows] crossing
+    x = 0, with vertical parts running up or down.  Few columns and many rows
+    crowd each column with vertical parts, so same-column point contacts and
+    zero-length vertical parts are common."""
+    rng = random.Random(seed)
+    paths, corners = [], set()
+    while len(paths) < n:
+        cx, cy = rng.randint(-columns, -1), rng.randint(-rows, rows)
+        if (cx, cy) in corners:
+            continue
+        corners.add((cx, cy))
+        hx = rng.randint(0, reach)
+        vy = cy + rng.choice((-1, 1)) * rng.randint(0, reach)
+        paths.append(GridPath.make(f"p{len(paths)}", cx, cy, hx, vy))
+    return Representation(Mode.EPG, tuple(paths), vline=0)
+
+
 def gadget(seed, n, m):
     return reduce_vc_to_mds(gen_degree3_graph(n, m, seed)).rep
 
@@ -141,6 +162,35 @@ def test_epg_graph_edges():
 def test_greedy_line_mds_answers():
     assert digest([sorted(greedy_line_mds(rep)) for rep in EPG]) == (
         "b69d85683d8493b3a5bf73ed476562ce174af180ac2a97f567b1a1d5b249d64a"
+    )
+
+
+# Vertical-crossing instances whose columns hold point contacts (closed
+# vertical spans meeting in one point: no shared edge) and zero-length
+# vertical parts, which the double-crossing and gadget instances lack.
+VERTICAL_CROSSING = [dense_vertical_crossing(11, 150, 6, 20, 6),
+                     dense_vertical_crossing(12, 300, 8, 30, 10)]
+
+
+def _column_contacts(rep):
+    """(same-column pairs meeting in one point, zero-length vertical parts)."""
+    points = sum(
+        p.corner.x == q.corner.x
+        and min(p.v_span[1], q.v_span[1]) - max(p.v_span[0], q.v_span[0]) == 0
+        for i, p in enumerate(rep.paths) for q in rep.paths[i + 1:]
+    )
+    return points, sum(p.v_span[0] == p.v_span[1] for p in rep.paths)
+
+
+def test_vertical_crossing_instances_have_contacts():
+    assert [_column_contacts(rep) for rep in VERTICAL_CROSSING] == [(96, 22), (179, 23)]
+    assert [len(edges_of(rep)) for rep in VERTICAL_CROSSING] == [399, 1324]
+
+
+def test_vertical_crossing_edges_and_answers():
+    assert digest([[edges_of(rep), sorted(greedy_line_mds(rep))]
+                   for rep in VERTICAL_CROSSING]) == (
+        "645f6ca23f813722c8fbcf512cff32f196689212e8c5ee3d181e5e843b53c41c"
     )
 
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from gridpaths.errors import GeneralPositionViolation
 from gridpaths.generators import gen_degree3_graph
-from gridpaths.geometry import GridPath, Mode, Representation, build_graph, is_one_string
+from gridpaths.geometry import (
+    GridPath,
+    Mode,
+    Representation,
+    build_graph,
+    is_one_string,
+    shared_edge_pairs,
+)
 from gridpaths.mds_epg import check_non_containment
 from gridpaths.mds_vpg import (
     NetParams,
@@ -27,6 +34,7 @@ from conftest import (
     pairwise_non_containment,
     pairwise_one_string,
     pairwise_sets,
+    pairwise_shared_edges,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -83,6 +91,18 @@ def test_vpg_graph_matches_pairwise(paths):
 def test_epg_graph_matches_pairwise(paths):
     rep = Representation(Mode.EPG, tuple(distinct_corners(paths)))
     assert build_graph(rep).edges() == pairwise_edges(rep)
+
+
+@PROPERTY
+@given(path_lists(), st.booleans())
+def test_shared_edge_pairs_match_pairwise(paths, vertical):
+    rep = Representation(Mode.EPG, tuple(paths))
+    ids = [p.id for p in rep.paths]
+    swept = sorted(
+        (min(ids[i], ids[j]), max(ids[i], ids[j]))
+        for i, j in shared_edge_pairs(rep.paths, vertical)
+    )
+    assert swept == pairwise_shared_edges(rep, vertical)
 
 
 @PROPERTY
@@ -168,3 +188,33 @@ def test_touching_boxes(a, b, vpg, epg):
         graph = build_graph(rep)
         assert graph.has_edge("a", "b") is expected
         assert graph.edges() == pairwise_edges(rep)
+
+
+# EPG paths on a shared row or column whose parts meet in a unit, in a point,
+# or in nested spans, with the expected edges and non-containment verdict.
+SHARED_LINE = [
+    # Horizontal parts on y = 0 overlap in exactly one unit, [2, 3]: an edge.
+    ((P("a", 0, 0, 3, 2), P("b", 2, 0, 5, -2)), [("a", "b")], True),
+    # Horizontal parts on y = 0 meet in the point x = 3 only: no edge.
+    ((P("a", 0, 0, 3, 2), P("b", 3, 0, 6, -2)), [], True),
+    # b's vertical part is the single point (0, 2), inside a's column span
+    # [0, 4]: no shared edge, so no edge and nothing to contain.
+    ((P("a", 0, 0, 3, 4), P("b", 0, 2, -3, 2)), [], True),
+    # Identical column spans [0, 4] from corners at opposite ends.
+    ((P("a", 0, 0, 2, 4), P("b", 0, 4, -2, 0)), [("a", "b")], False),
+    # Nested column spans: [2, 4] inside [0, 6].
+    ((P("a", 0, 0, 2, 6), P("b", 0, 2, -2, 4)), [("a", "b")], False),
+    # Column spans [0, 2], [3, 4] and [1, 5]: the short first span meets the
+    # long last one past a span that starts beyond it.
+    ((P("a", 0, 0, 1, 2), P("b", 0, 3, 1, 4), P("c", 0, 5, 1, 1)),
+     [("a", "c"), ("b", "c")], False),
+]
+
+
+@pytest.mark.parametrize("paths, edges, non_containment", SHARED_LINE)
+def test_shared_line_contacts(paths, edges, non_containment):
+    rep = Representation(Mode.EPG, paths)
+    assert build_graph(rep).edges() == edges
+    assert edges == pairwise_edges(rep)
+    assert check_non_containment(rep) is non_containment
+    assert non_containment is pairwise_non_containment(rep)
