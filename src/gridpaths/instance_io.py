@@ -72,10 +72,13 @@ def parse_instance(text: str) -> Instance:
             if pid in ids:
                 raise ParseError(line_no, f"duplicate path id {pid!r}")
             ids.add(pid)
-            cx, cy, hx, vy = (
-                _int(parts[i], line_no, name)
-                for i, name in ((2, "cx"), (3, "cy"), (4, "hx"), (5, "vy"))
-            )
+            try:
+                cx, cy, hx, vy = map(int, parts[2:])
+            except ValueError:
+                cx, cy, hx, vy = (
+                    _int(parts[i], line_no, name)
+                    for i, name in ((2, "cx"), (3, "cy"), (4, "hx"), (5, "vy"))
+                )
             paths.append(GridPath.make(pid, cx, cy, hx, vy))
         elif keyword == "label":
             if len(parts) != 3:

@@ -4,8 +4,11 @@ representations.
 The recursion splits one bend type at the median corner x-coordinate: the
 strictly-left and strictly-right groups are solved recursively, the group
 meeting the split line is solved exactly (it stays small at desk scale), and
-the larger of the two answers wins.  Running it once per bend type and
-keeping the best result costs another factor four in the guarantee.
+the larger of the two answers wins.  The strip is solved only when it has
+more paths than the two-sided answer, since otherwise it cannot win; so the
+exact solver's size cap (`TooLarge`) applies only to strips that could win.
+Running it once per bend type and keeping the best result costs another
+factor four in the guarantee.
 """
 from __future__ import annotations
 
@@ -61,14 +64,17 @@ def partition_LMR(
     """Partition paths into strictly-left, line-meeting and strictly-right
     groups relative to the vertical line x = xmed.  A single point of contact
     counts as meeting the line."""
+    # Compare x * den with num: exact, since den > 0, and far cheaper than
+    # comparing int with Fraction.  An int xmed has den 1.
+    num, den = xmed.numerator, xmed.denominator
     left: list[GridPath] = []
     middle: list[GridPath] = []
     right: list[GridPath] = []
     for p in paths:
         lo, hi = p.h_span
-        if hi < xmed:
+        if hi * den < num:
             left.append(p)
-        elif lo > xmed:
+        elif lo * den > num:
             right.append(p)
         else:
             middle.append(p)
@@ -85,8 +91,6 @@ def _reflect(path: GridPath, sx: int, sy: int) -> GridPath:
 
 
 def _exact_mis(paths: Sequence[GridPath]) -> set[str]:
-    if not paths:
-        return set()
     g = build_graph(Representation(Mode.VPG, tuple(paths)))
     return brute_mis(g)
 
@@ -104,8 +108,10 @@ def approx_mis_single_type(paths: Sequence[GridPath]) -> set[str]:
     """Divide-and-conquer approximation for paths of a single bend type.
 
     The answer is independent and at least a 1/max(1, log2 n) fraction of the
-    bucket's optimum.  Raises ValueError on mixed-type input; the middle
-    group is solved with the exact desk-scale solver, so its cap applies.
+    bucket's optimum.  Raises ValueError on mixed-type input.  The middle
+    group is solved with the exact desk-scale solver only when it has more
+    paths than the two sides' answer, so its cap (`TooLarge`) applies only
+    to a strip that could win.
     """
     paths = list(paths)
     if not paths:
@@ -114,7 +120,7 @@ def approx_mis_single_type(paths: Sequence[GridPath]) -> set[str]:
     if len(kinds) > 1:
         raise ValueError(f"mixed bend types: {sorted(k.value for k in kinds)}")
     sx, sy = _REFLECT[kinds.pop()]
-    frame = [_reflect(p, sx, sy) for p in paths]
+    frame = paths if (sx, sy) == (1, 1) else [_reflect(p, sx, sy) for p in paths]
 
     def solve(group: Sequence[GridPath]) -> set[str]:
         if len(group) <= 2:
@@ -124,8 +130,11 @@ def approx_mis_single_type(paths: Sequence[GridPath]) -> set[str]:
         # so both recursive groups are smaller than the group.
         left, middle, right = partition_LMR(group, xmed)
         side = solve(left) | solve(right)
+        # The strip's answer has at most len(middle) paths, and equality
+        # favors the two-sided answer, for reproducibility.
+        if len(side) >= len(middle):
+            return side
         central = _exact_mis(middle)
-        # Equality favors the two-sided answer, for reproducibility.
         return side if len(side) >= len(central) else central
 
     return solve(frame)

@@ -8,12 +8,16 @@ code that shares none of its logic.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+from gridpaths.exact import brute_mis
 from gridpaths.geometry import (
     GridPath,
+    GridPoint,
     IntersectionGraph,
     Mode,
     Representation,
+    classify_type,
     crossing_points,
     epg_adjacent,
     vpg_adjacent,
@@ -176,3 +180,59 @@ def pairwise_non_containment(rep: Representation) -> bool:
         if (q_lo <= p_lo and p_hi <= q_hi) or (p_lo <= q_lo and q_hi <= p_hi):
             return False
     return True
+
+
+def pairwise_graph(paths) -> IntersectionGraph:
+    """VPG intersection graph by testing every pair, in `build_graph`'s
+    canonical form (sorted vertices, sorted neighbour tuples)."""
+    adj = {p.id: [] for p in paths}
+    for u, v in pairwise_edges(Representation(Mode.VPG, tuple(paths))):
+        adj[u].append(v)
+        adj[v].append(u)
+    verts = tuple(sorted(adj))
+    return IntersectionGraph(verts, {v: tuple(sorted(adj[v])) for v in verts})
+
+
+_REFLECT_SIGNS = {"LL": (1, 1), "UL": (1, -1), "LR": (-1, 1), "UR": (-1, -1)}
+
+
+def reference_mis_single_type(paths, strips=None) -> set[str]:
+    """The median-split recursion with `Fraction` comparisons against the
+    split line and every line-meeting strip solved by `brute_mis` on an
+    all-pairs graph, whatever the two sides found.  With a list for strips,
+    (len(middle), len(side)) is appended for every nonempty strip."""
+    paths = list(paths)
+    if not paths:
+        return set()
+    kinds = {classify_type(p) for p in paths}
+    if len(kinds) > 1:
+        raise ValueError("mixed bend types")
+    sx, sy = _REFLECT_SIGNS[kinds.pop().name]
+    frame = [
+        GridPath(
+            p.id,
+            GridPoint(sx * p.corner.x, sy * p.corner.y),
+            GridPoint(sx * p.h_tip.x, sy * p.h_tip.y),
+            GridPoint(sx * p.v_tip.x, sy * p.v_tip.y),
+        )
+        for p in paths
+    ]
+
+    def solve(group):
+        if len(group) <= 2:
+            if len(group) == 2 and vpg_adjacent(*group):
+                return {min(p.id for p in group)}
+            return {p.id for p in group}
+        xs = sorted(p.corner.x for p in group)
+        k = len(xs) // 2
+        xmed = Fraction(xs[k - 1] + xs[k], 2)
+        left = [p for p in group if p.h_span[1] < xmed]
+        right = [p for p in group if p.h_span[0] > xmed]
+        middle = [p for p in group if p.h_span[1] >= xmed >= p.h_span[0]]
+        side = solve(left) | solve(right)
+        central = brute_mis(pairwise_graph(middle)) if middle else set()
+        if strips is not None and middle:
+            strips.append((len(middle), len(side)))
+        return side if len(side) >= len(central) else central
+
+    return solve(frame)

@@ -45,6 +45,11 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance("mode vpg\npath a 0 zero 1 1\n")
 
+    def test_bad_integer_names_line_and_field(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("mode vpg\npath a 0 0 1 1\npath b 1 2 x 3\n")
+        assert str(info.value) == "line 3: hx must be an integer, got 'x'"
+
     def test_unknown_keyword(self):
         with pytest.raises(ParseError):
             parse_instance("mode vpg\nfrob a\n")

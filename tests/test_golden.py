@@ -13,7 +13,11 @@ doubling one unhit set per net to doubling every light unhit set in one
 verification pass, which changes the weights the later nets are drawn from.
 The vertical-crossing digest was computed while EPG edges were still
 re-tested pair by pair with `epg_adjacent`; the shared-edge sweep that
-replaced that test must reproduce it.
+replaced that test must reproduce it.  The independent-set digest was
+computed while the median split compared coordinates with a `Fraction` and
+every line-meeting strip was solved exactly, whether or not it could beat
+the two sides; the integer comparison and the skipped strips must reproduce
+it.
 
 The instances are built here, not by the library generators, because those
 are nearly edgeless; each is seeded and dense enough that every path has a
@@ -27,10 +31,13 @@ import random
 
 from gridpaths.exact import brute_mds, brute_mis
 from gridpaths.generators import gen_degree3_graph
-from gridpaths.geometry import GridPath, Mode, Representation, build_graph
+from gridpaths.geometry import GridPath, Mode, PathType, Representation, build_graph
 from gridpaths.mds_epg import greedy_line_mds
 from gridpaths.mds_vpg import NetParams, approx_mds_one_string, build_set_system
+from gridpaths.mis import approx_mis, approx_mis_single_type, split_by_type
 from gridpaths.reduction import reduce_vc_to_mds
+
+from conftest import reference_mis_single_type
 
 TIP_SIGNS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
 
@@ -213,4 +220,32 @@ def test_exact_oracle_answers():
     answers.append(sorted(brute_mds(build_graph(gadget(2, 6, 7)), cap=44)))
     assert digest(answers) == (
         "84c7cd56159f18ffa16481840cbb8353e321c083b15905fef92dde6e1051dce2"
+    )
+
+
+# Mixed VPG instances for the independent-set recursion, dense enough that
+# some line-meeting strips beat the two sides around them.
+MIS_VPG = ONE_STRING + DEGENERATE + MIXED_VPG + [
+    dense_vpg(41, 600, 600, 54, False), dense_vpg(42, 1000, 1000, 70, False)]
+
+
+def test_mis_instances_have_both_kinds_of_strip():
+    # A strip no larger than the two-sided answer cannot win and is not
+    # solved; a larger one is.  The digest below covers both.
+    strips = []
+    for rep in MIS_VPG:
+        for paths in split_by_type(rep).values():
+            assert reference_mis_single_type(paths, strips) == approx_mis_single_type(paths)
+    assert any(middle <= side for middle, side in strips)
+    assert any(middle > side for middle, side in strips)
+
+
+def test_mis_answers():
+    answers = []
+    for rep in MIS_VPG:
+        buckets = split_by_type(rep)
+        answers.append([sorted(approx_mis(rep))]
+                       + [sorted(approx_mis_single_type(buckets[t])) for t in PathType])
+    assert digest(answers) == (
+        "db58649c6054ff505cf64b3f4db46d0424910d52a45b3f61556b90a35f00f862"
     )

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridpaths.errors import TooFewPaths
+from gridpaths import mis
+from gridpaths.errors import TooFewPaths, TooLarge
 from gridpaths.generators import gen_vpg
 from gridpaths.geometry import (
     GridPath,
@@ -25,7 +26,7 @@ from gridpaths.mis import (
     split_by_type,
 )
 
-from conftest import exhaustive_max_independent
+from conftest import exhaustive_max_independent, reference_mis_single_type
 
 
 def P(pid, cx, cy, hx, vy):
@@ -105,6 +106,21 @@ class TestPartitionLMR:
         assert middle == []
         assert [q.id for q in right] == ["p2", "p3"]
 
+    def test_half_integer_line(self):
+        # x = 7/2: a span ending at 3 is left, one starting at 4 is right, and
+        # one running from 3 to 4 meets the line.
+        paths = [P("l", 1, 0, 3, 1), P("m", 3, 2, 4, 3), P("r", 4, 4, 6, 5)]
+        left, middle, right = partition_LMR(paths, Fraction(7, 2))
+        assert [[q.id for q in g] for g in (left, middle, right)] == [["l"], ["m"], ["r"]]
+
+    def test_integer_line(self):
+        # x = 4 as a plain int: spans touching 4 from either side meet it.
+        paths = [P("l", 1, 0, 3, 1), P("a", 2, 2, 4, 3), P("p", 4, 4, 4, 5),
+                 P("b", 4, 6, 7, 7), P("r", 5, 8, 6, 9)]
+        left, middle, right = partition_LMR(paths, 4)
+        assert [[q.id for q in g] for g in (left, middle, right)] == [
+            ["l"], ["a", "p", "b"], ["r"]]
+
     def test_is_a_partition(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -139,6 +155,34 @@ def test_median_split_shrinks(paths):
     left, _, right = partition_LMR(paths, compute_xmed(paths))
     assert len(left) <= n // 2
     assert len(right) <= n - n // 2
+
+
+@st.composite
+def one_type_paths(draw):
+    """Up to 60 paths of one bend type, arms of length 0-6, corners on a
+    window of columns narrow enough that many share one.  A zero-length arm
+    classifies as pointing right or up, so only those arms may be empty."""
+    sx, sy = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))))
+    column = st.integers(0, draw(st.integers(0, 40)))
+    h_arm, v_arm = st.integers(int(sx < 0), 6), st.integers(int(sy < 0), 6)
+    paths = []
+    for i in range(draw(st.integers(0, 60))):
+        cx, cy = draw(column), draw(st.integers(-10, 10))
+        hx, vy = cx + draw(h_arm), cy + draw(v_arm)
+        paths.append(P(f"p{i}", sx * cx, sy * cy, sx * hx, sy * vy))
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_type_paths())
+def test_matches_reference_recursion(paths):
+    # The reference compares with Fraction and solves every strip; the
+    # library compares scaled integers and skips strips that cannot win.
+    try:
+        expected = reference_mis_single_type(paths)
+    except TooLarge:
+        assume(False)
+    assert approx_mis_single_type(paths) == expected
 
 
 class TestApproxMisSingleType:
@@ -183,6 +227,30 @@ class TestApproxMisSingleType:
                 ]
                 sizes.add(len(approx_mis_single_type(paths)))
             assert len(sizes) == 1
+
+
+class TestStripRefusal:
+    def test_strip_that_cannot_win_is_not_solved(self, monkeypatch):
+        # Ten points left of x = 135/2, thirty-six right of it, and 26
+        # disjoint horizontal paths meeting it: the 46 points win, so the
+        # over-cap strip is never handed to the exact solver.
+        def fail(graph):
+            raise AssertionError("strip solved")
+
+        monkeypatch.setattr(mis, "brute_mis", fail)
+        paths = ([P(f"a{i}", i, 1000 + i, i, 1000 + i) for i in range(10)]
+                 + [P(f"m{i}", 10 + i, 2 * i, 70, 2 * i) for i in range(26)]
+                 + [P(f"b{i}", 100 + i, 500 + i, 100 + i, 500 + i) for i in range(36)])
+        solution = approx_mis_single_type(paths)
+        assert solution == {p.id for p in paths if p.id[0] != "m"}
+        graph = build_graph(Representation(Mode.VPG, tuple(paths)))
+        assert graph.is_independent_set(solution)
+
+    def test_over_cap_strip_that_could_win_is_refused(self):
+        # Every path meets x = 0 and both sides are empty.
+        paths = [P(f"m{i}", 0, 2 * i, 70, 2 * i) for i in range(26)]
+        with pytest.raises(TooLarge):
+            approx_mis_single_type(paths)
 
 
 class TestApproxMis:
