@@ -7,8 +7,10 @@ at least one unit grid edge).  All arithmetic is integer; no floating point.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GeneralPositionViolation, UnknownId, WrongMode
@@ -189,11 +191,9 @@ def classify_type(path: GridPath) -> PathType:
 
 def _proper_cross(h: GridPath, v: GridPath) -> GridPoint | None:
     """Crossing of h's horizontal part with v's vertical part, interior to both."""
-    hx_lo, hx_hi = h.h_span
-    vy_lo, vy_hi = v.v_span
-    vx = v.corner.x
-    hy = h.corner.y
-    if hx_lo < vx < hx_hi and vy_lo < hy < vy_hi:
+    (hx, hy), tx = h.corner, h.h_tip.x
+    (vx, vy), ty = v.corner, v.v_tip.y
+    if (hx < vx < tx or tx < vx < hx) and (vy < hy < ty or ty < hy < vy):
         return GridPoint(vx, hy)
     return None
 
@@ -261,29 +261,39 @@ def weak_general_position(rep: Representation) -> bool:
     return len(set(corners)) == len(corners)
 
 
-def _meeting_spans(spans: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """Index pairs of closed intervals that share at least one point, by a
-    sweep over the lower ends: each interval is compared only with those
-    starting no later than its upper end."""
-    order = sorted(range(len(spans)), key=spans.__getitem__)
-    for a, i in enumerate(order):
-        hi = spans[i][1]
-        for b in range(a + 1, len(order)):
-            j = order[b]
-            if spans[j][0] > hi:
-                break
-            yield i, j
+def hv_contacts(paths: Sequence[GridPath]) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j), i != j, where path i's horizontal part meets path
+    j's vertical part in a closed point; a zero-length part is its corner.
 
-
-def candidate_pairs(boxes: list[tuple[int, int, int, int]]) -> Iterator[tuple[int, int]]:
-    """Unordered index pairs whose closed boxes (xlo, xhi, ylo, yhi) meet.
-
-    A sort-by-xlo sweep: only pairs whose x-extents meet are examined, so the
-    cost follows the number of box contacts rather than all n(n-1)/2 pairs.
-    """
-    for i, j in _meeting_spans([(b[0], b[1]) for b in boxes]):
-        if boxes[i][2] <= boxes[j][3] and boxes[j][2] <= boxes[i][3]:
-            yield i, j
+    The orthogonal-segment intersection sweep (de Berg et al., ch. 10): the
+    vertical parts are visited by column, the horizontal parts stay in a
+    row-sorted list from their left end to their right end, and each
+    vertical part reads off the listed rows inside its y-range."""
+    rows = []
+    cols = []
+    for i, p in enumerate(paths):
+        (cx, cy), hx, vy = p.corner, p.h_tip.x, p.v_tip.y
+        rows.append((cx, hx, (cy, i)) if cx <= hx else (hx, cx, (cy, i)))
+        cols.append((cx, cy, vy, i) if cy <= vy else (cx, vy, cy, i))
+    rows.sort()
+    cols.sort()
+    ends = sorted(rows, key=lambda row: row[1])
+    n = len(rows)
+    active: list[tuple[int, int]] = []  # (row, index) of the open horizontal parts
+    s = e = 0
+    for x, lo, hi, j in cols:
+        while s < n and rows[s][0] <= x:
+            insort(active, rows[s][2])
+            s += 1
+        # Every part ending left of x started left of x, so it is active;
+        # path j's own horizontal part reaches x, so the walk stops before it.
+        while ends[e][1] < x:
+            del active[bisect_left(active, ends[e][2])]
+            e += 1
+        for k in range(bisect_left(active, (lo,)), bisect_right(active, (hi, n))):
+            i = active[k][1]
+            if i != j:
+                yield i, j
 
 
 def shared_edge_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tuple[int, int]]:
@@ -306,6 +316,8 @@ def shared_edge_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tup
         if a != b:
             groups.setdefault(line, []).append((a, b, i) if a < b else (b, a, i))
     for group in groups.values():
+        if len(group) < 2:
+            continue
         group.sort()
         for k, (_, hi, i) in enumerate(group):
             for m in range(k + 1, len(group)):
@@ -315,54 +327,45 @@ def shared_edge_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tup
                 yield i, j
 
 
-def _adjacent_vpg_pairs(paths: Sequence[GridPath]) -> Iterator[tuple[GridPath, GridPath]]:
-    """VPG-adjacent pairs.  Both a proper crossing and a collinear overlap
-    lie in the two paths' bounding boxes, so box contacts are the candidates."""
-    for i, j in candidate_pairs([p.h_span + p.v_span for p in paths]):
-        if vpg_adjacent(paths[i], paths[j]):
-            yield paths[i], paths[j]
+def _proper_pairs(paths: Sequence[GridPath]) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j) where path i's horizontal part properly crosses
+    path j's vertical part; each such crossing is a closed contact."""
+    for i, j in hv_contacts(paths):
+        if _proper_cross(paths[i], paths[j]) is not None:
+            yield i, j
 
 
 def build_graph(rep: Representation) -> IntersectionGraph:
     """Derive the intersection graph without scanning all pairs.
 
-    VPG mode tests the pairs whose bounding boxes meet (`candidate_pairs`).
-    EPG adjacency is a shared grid edge, which lies on a common corner row or
-    column, so EPG edges come straight out of one sort per corner row and
-    column (`shared_edge_pairs`), at cost O(n log n + edges) with no pairwise
-    re-test; a box sweep would be no better than a pairwise scan there, since
-    the paths of the line-crossing families all contain a common point.  In
-    EPG mode weak general position is checked, not silently assumed.
+    Shared grid edges, all of EPG adjacency, come from one sort per corner
+    row and column (`shared_edge_pairs`) with no pairwise re-test.  VPG mode
+    adds the proper crossings among the contacts of one horizontal-vertical
+    sweep (`hv_contacts`).  Either way the cost is O(n log n) plus the
+    contacts found.  In EPG mode weak general position is checked, not
+    silently assumed.
     """
     paths = rep.paths
+    if rep.mode is Mode.EPG and not weak_general_position(rep):
+        raise GeneralPositionViolation("two EPG paths share a corner")
+    pairs = chain(shared_edge_pairs(paths, False), shared_edge_pairs(paths, True))
     if rep.mode is Mode.VPG:
-        pairs = _adjacent_vpg_pairs(paths)
-    else:
-        if not weak_general_position(rep):
-            raise GeneralPositionViolation("two EPG paths share a corner")
-        pairs = (
-            (paths[i], paths[j])
-            for vertical in (False, True)
-            for i, j in shared_edge_pairs(paths, vertical)
-        )
-    adj: dict[str, set[str]] = {p.id: set() for p in paths}
-    for p, q in pairs:
-        adj[p.id].add(q.id)
-        adj[q.id].add(p.id)
-    verts = tuple(sorted(adj))
-    return IntersectionGraph(verts, {v: tuple(sorted(adj[v])) for v in verts})
+        pairs = chain(pairs, _proper_pairs(paths))
+    ids = [p.id for p in paths]
+    return IntersectionGraph.from_edges(ids, ((ids[i], ids[j]) for i, j in pairs))
 
 
 def is_one_string(rep: Representation) -> bool:
-    """True iff every adjacent pair crosses exactly once, with no
-    overlap-induced adjacency anywhere."""
+    """True iff no two paths share a grid edge and no two cross properly
+    twice (each horizontal part through the other's vertical part), so every
+    adjacent pair crosses exactly once."""
     if rep.mode is not Mode.VPG:
         raise WrongMode("one-string applies to VPG representations")
-    for p, q in _adjacent_vpg_pairs(rep.paths):
-        pts, overlap = crossing_points(p, q)
-        if overlap or len(pts) != 1:
-            return False
-    return True
+    paths = rep.paths
+    if any(shared_edge_pairs(paths, False)) or any(shared_edge_pairs(paths, True)):
+        return False
+    crossed = set(_proper_pairs(paths))
+    return not any((j, i) in crossed for i, j in crossed)
 
 
 def split_neighbors(rep: Representation, path_id: str) -> tuple[set[str], set[str]]:

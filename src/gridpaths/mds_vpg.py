@@ -20,8 +20,8 @@ guarantees.  The paper's O(1) factor needs nets of size O(1/eps) for this
 set system, which no net finder here provides.
 
 Where a zero-length arm puts a corner on another path's perpendicular part,
-the two crosses meet although the paths only touch; the pipeline refuses
-such input.
+or where two paths share a corner, the two crosses meet although the paths
+only touch; the pipeline refuses such input.
 
 All coordinates in this module are quarter units (public grid coordinates
 times four), which keeps the quarter offsets exact in integers.
@@ -47,7 +47,7 @@ from .geometry import (
     IntersectionGraph,
     Representation,
     build_graph,
-    candidate_pairs,
+    hv_contacts,
     is_one_string,
 )
 
@@ -177,29 +177,19 @@ def crosses_intersect(a: Cross, b: Cross) -> bool:
     return False
 
 
-def _cross_box(c: Cross) -> tuple[int, int, int, int]:
-    """Closed bounding box of a cross's two supporting segments.  The corner
-    overhang can stick out past the path's own box, so the supports are
-    boxed, not the path."""
-    h, v = c.h_support, c.v_support
-    return (min(h.lo, v.anchor), max(h.hi, v.anchor), min(v.lo, h.anchor), max(v.hi, h.anchor))
-
-
 def build_set_system(rep: Representation) -> SetSystem:
     """Universe of all 2n supporting segments and, per cross, the set of
     elements meeting it.  A cross's own two segments belong to its set by
-    definition, regardless of degeneracy.  Only crosses whose boxes meet
-    can share a point, and meeting is symmetric, so each such pair's four
-    segment tests fill both crosses' sets."""
+    definition, regardless of degeneracy.  Two crosses can meet only where
+    their paths share a grid edge or where a horizontal part meets a
+    vertical part (`hv_contacts`); one-string input shares no edge, and
+    meeting is symmetric, so each contact pair's four segment tests fill
+    both crosses' sets."""
     if not is_one_string(rep):
         raise NotOneString("set system requires a one-string representation")
-    crosses = [build_cross(p) for p in rep.paths]
-    universe: list[Segment] = []
-    for c in crosses:
-        universe.append(c.h_support)
-        universe.append(c.v_support)
-    members = [{2 * idx, 2 * idx + 1} for idx in range(len(crosses))]
-    for i, k in candidate_pairs([_cross_box(c) for c in crosses]):
+    universe = [s for c in map(build_cross, rep.paths) for s in (c.h_support, c.v_support)]
+    members = [{2 * idx, 2 * idx + 1} for idx in range(len(rep.paths))]
+    for i, k in {(i, k) if i < k else (k, i) for i, k in hv_contacts(rep.paths)}:
         for a in (2 * i, 2 * i + 1):
             for b in (2 * k, 2 * k + 1):
                 if segments_intersect(universe[a], universe[b]):

@@ -19,7 +19,6 @@ from .errors import TooFewPaths, WrongMode
 from .exact import brute_mis
 from .geometry import (
     GridPath,
-    GridPoint,
     Mode,
     PathType,
     Representation,
@@ -71,7 +70,10 @@ def partition_LMR(
     middle: list[GridPath] = []
     right: list[GridPath] = []
     for p in paths:
-        lo, hi = p.h_span
+        # h_span, inlined: this loop runs once per path per recursion level.
+        lo, hi = p.corner.x, p.h_tip.x
+        if lo > hi:
+            lo, hi = hi, lo
         if hi * den < num:
             left.append(p)
         elif lo * den > num:
@@ -82,12 +84,8 @@ def partition_LMR(
 
 
 def _reflect(path: GridPath, sx: int, sy: int) -> GridPath:
-    return GridPath(
-        path.id,
-        GridPoint(sx * path.corner.x, sy * path.corner.y),
-        GridPoint(sx * path.h_tip.x, sy * path.h_tip.y),
-        GridPoint(sx * path.v_tip.x, sy * path.v_tip.y),
-    )
+    (cx, cy), hx, vy = path.corner, path.h_tip.x, path.v_tip.y
+    return GridPath.make(path.id, sx * cx, sy * cy, sx * hx, sy * vy)
 
 
 def _exact_mis(paths: Sequence[GridPath]) -> set[str]:
@@ -119,7 +117,12 @@ def approx_mis_single_type(paths: Sequence[GridPath]) -> set[str]:
     kinds = {classify_type(p) for p in paths}
     if len(kinds) > 1:
         raise ValueError(f"mixed bend types: {sorted(k.value for k in kinds)}")
-    sx, sy = _REFLECT[kinds.pop()]
+    return _approx_mis_of_type(paths, kinds.pop())
+
+
+def _approx_mis_of_type(paths: list[GridPath], kind: PathType) -> set[str]:
+    """`approx_mis_single_type` on paths already known to be of one type."""
+    sx, sy = _REFLECT[kind]
     frame = paths if (sx, sy) == (1, 1) else [_reflect(p, sx, sy) for p in paths]
 
     def solve(group: Sequence[GridPath]) -> set[str]:
@@ -148,7 +151,7 @@ def approx_mis(rep: Representation) -> set[str]:
     buckets = split_by_type(rep)
     best: set[str] = set()
     for kind in _BUCKET_ORDER:
-        candidate = approx_mis_single_type(buckets[kind])
+        candidate = _approx_mis_of_type(buckets[kind], kind)
         if len(candidate) > len(best):
             best = candidate
     return best

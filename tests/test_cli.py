@@ -191,6 +191,21 @@ class TestCliCommands:
         assert err.startswith("error: GeneralPositionViolation")
         assert "Traceback" not in err
 
+    def test_shared_corner_exit_code(self, tmp_path, capsys):
+        # One-string and not adjacent: the paths meet only at the shared
+        # corner (0, 0), but each corner overhang reaches the other's support.
+        inst = tmp_path / "corner.txt"
+        inst.write_text("mode vpg\npath a 0 0 3 3\npath b 0 0 -3 -3\n", encoding="utf-8")
+        assert run(["verify", "--check", "one-string", "--input", str(inst)]) == 0
+        assert capsys.readouterr().out == "one-string: ok\n"
+        assert run(["exact", "mis", "--input", str(inst)]) == 0
+        assert capsys.readouterr().out.split() == ["a", "b"]  # not adjacent
+        assert run(["solve", "mds-vpg", "--input", str(inst)]) == 1
+        assert capsys.readouterr().err == (
+            "error: GeneralPositionViolation: paths a and b only touch, "
+            "but their crosses meet\n"
+        )
+
     def test_gen_graph_infeasible_exit_code(self, tmp_path):
         assert run(["gen-graph", "--n", "2", "--m", "3", "--seed", "0"]) == 1
 

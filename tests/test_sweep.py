@@ -1,5 +1,6 @@
-"""The swept candidate pairs miss nothing: graph building, the one-string
-check, set-system membership and the non-containment check agree with
+"""The sweeps miss nothing: the horizontal-vertical contacts and the
+shared-edge pairs, and graph building, the one-string check, set-system
+membership and the non-containment check built on them, agree with
 all-pairs scans on drawn instances crowded with contacts, and the
 dominating-set pipeline built on them is total."""
 import itertools
@@ -15,6 +16,7 @@ from gridpaths.geometry import (
     Mode,
     Representation,
     build_graph,
+    hv_contacts,
     is_one_string,
     shared_edge_pairs,
 )
@@ -29,12 +31,14 @@ from gridpaths.mds_vpg import (
 from gridpaths.reduction import reduce_vc_to_mds
 
 from conftest import (
+    h_points,
     hand_vpg_adjacent,
     pairwise_edges,
     pairwise_non_containment,
     pairwise_one_string,
     pairwise_sets,
     pairwise_shared_edges,
+    v_points,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -103,6 +107,33 @@ def test_shared_edge_pairs_match_pairwise(paths, vertical):
         for i, j in shared_edge_pairs(rep.paths, vertical)
     )
     assert swept == pairwise_shared_edges(rep, vertical)
+
+
+@PROPERTY
+@given(path_lists())
+def test_hv_contacts_match_pairwise(paths):
+    """Each (i, j) once, exactly when i's horizontal part and j's vertical
+    part share a grid point."""
+    assert sorted(hv_contacts(paths)) == [
+        (i, j)
+        for i, p in enumerate(paths)
+        for j, q in enumerate(paths)
+        if i != j and h_points(p) & v_points(q)
+    ]
+
+
+@PROPERTY
+@given(path_lists())
+def test_meeting_crosses_are_contacts(paths):
+    """Two crosses meet only where the paths' parts meet across the axes or
+    share a grid edge, so those pairs are all the set system must test."""
+    found = {frozenset(pair) for pair in hv_contacts(paths)}
+    for vertical in (False, True):
+        found.update(frozenset(pair) for pair in shared_edge_pairs(paths, vertical))
+    crosses = [build_cross(p) for p in paths]
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        if crosses_intersect(crosses[i], crosses[j]):
+            assert frozenset((i, j)) in found
 
 
 @PROPERTY
@@ -218,3 +249,32 @@ def test_shared_line_contacts(paths, edges, non_containment):
     assert edges == pairwise_edges(rep)
     assert check_non_containment(rep) is non_containment
     assert non_containment is pairwise_non_containment(rep)
+
+
+# Closed contacts of a horizontal part (first index) with a vertical part
+# (second index); a zero-length part is its corner point.
+CONTACTS = [
+    # A T-contact: b's horizontal part ends on a's vertical part.
+    ((P("a", 0, 0, 3, 4), P("b", -2, 2, 0, 5)), [(1, 0)]),
+    # b's corner on a's horizontal part; b's vertical part hangs down from it.
+    ((P("a", 0, 0, 4, 4), P("b", 2, 0, 6, -3)), [(0, 1)]),
+    # b's zero-length horizontal part is its corner, on a's vertical part.
+    ((P("a", 0, 0, 4, 4), P("b", 0, 2, 0, 5)), [(1, 0)]),
+    # A single-point path on a's horizontal part, and one on a's corner.
+    ((P("a", 0, 0, 4, 4), P("b", 2, 0, 2, 0)), [(0, 1)]),
+    ((P("a", 0, 0, 4, 4), P("b", 0, 0, 0, 0)), [(0, 1), (1, 0)]),
+    # Tip to tip: a's horizontal tip is b's vertical tip.
+    ((P("a", 0, 0, 3, 3), P("b", 3, 5, 5, 0)), [(0, 1)]),
+    # Horizontal tips meeting on a row are no horizontal-vertical contact.
+    ((P("a", 0, 0, 3, 3), P("b", 6, 0, 3, 2)), []),
+    # A shared corner: each horizontal part meets the other's vertical part.
+    ((P("a", 0, 0, 3, 3), P("b", 0, 0, -3, -3)), [(0, 1), (1, 0)]),
+    # A proper crossing of a bare horizontal and a bare vertical path, and a
+    # path whose horizontal part ends left of the others' columns.
+    ((P("a", 0, 2, 4, 2), P("b", 2, 0, 2, 4), P("c", -3, 9, -2, 9)), [(0, 1)]),
+]
+
+
+@pytest.mark.parametrize("paths, contacts", CONTACTS)
+def test_hv_contact_cases(paths, contacts):
+    assert sorted(hv_contacts(paths)) == contacts

@@ -1,0 +1,116 @@
+"""Scale timings of the VPG graph layers, written to BENCH_scale.json.
+
+Usage, from the repository root:
+
+    python3 tools/bench_scale.py --label "this tree"
+    PYTHONPATH=/path/to/other/src python3 tools/bench_scale.py --label "other tree"
+
+Each run draws one-string instances at n = 1000, 3000 and 10000 with the
+benchmark's own generator, `benchmark/gen.vpg_one_string(random.Random(1),
+n, 2n, n // 5)`, and times the library calls `build_graph`, `is_one_string`
+and `build_set_system` on each, in raw wall time: the minimum of three
+calls, or a single call when the first takes over ten seconds.  The run is
+merged into BENCH_scale.json under its label, so two source trees measured
+in turn on one machine sit side by side.  The gridpaths package is imported
+from PYTHONPATH if set there, otherwise from this repository's src/.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which can name another tree
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+import gen  # noqa: E402
+from gridpaths.geometry import build_graph, is_one_string  # noqa: E402
+from gridpaths.instance_io import parse_instance  # noqa: E402
+from gridpaths.mds_vpg import build_set_system  # noqa: E402
+
+SIZES = (1000, 3000, 10000)
+SEED = 1
+REPEATS = 3
+SINGLE_RUN_S = 10.0
+OUTPUT = ROOT / "BENCH_scale.json"
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _time(call, rep) -> tuple[float, object]:
+    best = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        out = call(rep)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+        if elapsed > SINGLE_RUN_S:
+            break
+    return best * 1000.0, out
+
+
+def measure(n: int, seed: int) -> dict:
+    paths = gen.vpg_one_string(random.Random(seed), n, 2 * n, n // 5)
+    rep = parse_instance(gen.instance_text("vpg", paths)).rep
+    graph_ms, graph = _time(build_graph, rep)
+    check_ms, one_string = _time(is_one_string, rep)
+    system_ms, system = _time(build_set_system, rep)
+    return {
+        "n": n,
+        "seed": seed,
+        "edges": len(graph.edges()),
+        "one_string": one_string,
+        "set_members": sum(len(s) for s in system.sets),
+        "build_graph_ms": round(graph_ms, 2),
+        "is_one_string_ms": round(check_ms, 2),
+        "build_set_system_ms": round(system_ms, 2),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="name of the measured tree")
+    args = parser.parse_args()
+
+    rows = []
+    for n in SIZES:
+        rows.append(measure(n, SEED))
+        print(json.dumps(rows[-1]), file=sys.stderr)
+
+    doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
+    doc["about"] = (
+        "Raw wall-time ms of library calls on benchmark/gen.vpg_one_string("
+        "random.Random(seed), n, 2n, n // 5); min of 3 calls, or one call when "
+        "it takes over 10 s. Written by tools/bench_scale.py."
+    )
+    doc.setdefault("runs", {})[args.label] = {
+        "provenance": {
+            "python": platform.python_version(),
+            "cpu": _cpu(),
+            "nproc": os.cpu_count(),
+            "seed": SEED,
+            "repeats": REPEATS,
+        },
+        "results": rows,
+    }
+    OUTPUT.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
