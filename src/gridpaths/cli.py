@@ -187,16 +187,16 @@ def _cmd_bench(args) -> int:
                 solution = mds_epg.greedy_line_mds(rep)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             size = len(solution)
-            graph = build_graph(rep)
             opt = ""
             ratio = ""
-            if args.algo == "mis" and graph.n <= MAX_MIS_VERTICES:
-                opt_size = len(brute_mis(graph))
+            # The graph has one vertex per path; it is built only for an oracle.
+            if args.algo == "mis" and len(rep.paths) <= MAX_MIS_VERTICES:
+                opt_size = len(brute_mis(build_graph(rep)))
                 opt = str(opt_size)
                 if size:
                     ratio = f"{opt_size / size:.4f}"
-            elif args.algo != "mis" and graph.n <= MAX_MDS_VERTICES:
-                opt_size = len(brute_mds(graph))
+            elif args.algo != "mis" and len(rep.paths) <= MAX_MDS_VERTICES:
+                opt_size = len(brute_mds(build_graph(rep)))
                 opt = str(opt_size)
                 if opt_size:
                     ratio = f"{size / opt_size:.4f}"

@@ -37,17 +37,11 @@ def _bits(x: int):
         x -= low
 
 
-def _index_graph(g: IntersectionGraph) -> tuple[list[str], list[int]]:
-    """Sorted vertex list plus open-neighborhood bitmasks."""
-    ids = list(g.vertices)
-    pos = {v: i for i, v in enumerate(ids)}
-    masks = [0] * len(ids)
-    for v in ids:
-        m = 0
-        for w in g.neighbors(v):
-            m |= 1 << pos[w]
-        masks[pos[v]] = m
-    return ids, masks
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 def _max_independent(adj: list[int]) -> int:
@@ -131,8 +125,8 @@ def brute_mis(g: IntersectionGraph, cap: int = MAX_MIS_VERTICES) -> set[str]:
     """Maximum independent set by branch and bound with a degree pivot."""
     if g.n > cap:
         raise TooLarge(f"{g.n} vertices exceeds the cap of {cap}")
-    ids, adj = _index_graph(g)
-    result = {ids[i] for i in _bits(_max_independent(adj))}
+    adj = [_mask(nbrs) for nbrs in g.index]
+    result = {g.vertices[i] for i in _bits(_max_independent(adj))}
     if not g.is_independent_set(result):
         raise RuntimeError("internal error: solver produced a dependent set")
     return result
@@ -143,9 +137,8 @@ def brute_mds(g: IntersectionGraph, cap: int = MAX_MDS_VERTICES) -> set[str]:
     neighbourhoods cover every vertex."""
     if g.n > cap:
         raise TooLarge(f"{g.n} vertices exceeds the cap of {cap}")
-    ids, adj = _index_graph(g)
-    closed = [m | (1 << i) for i, m in enumerate(adj)]
-    result = {ids[i] for i in _bits(_min_cover(closed, len(ids)))}
+    closed = [_mask(nbrs) | (1 << i) for i, nbrs in enumerate(g.index)]
+    result = {g.vertices[i] for i in _bits(_min_cover(closed, g.n))}
     if not g.is_dominating_set(result):
         raise RuntimeError("internal error: solver produced a non-dominating set")
     return result
@@ -163,7 +156,7 @@ def brute_hs(
         raise TooLarge(f"universe of {u} exceeds the cap of {universe_cap}")
     if m > sets_cap:
         raise TooLarge(f"{m} sets exceeds the cap of {sets_cap}")
-    set_masks = [sum(1 << e for e in set(members)) for members in system.sets]
+    set_masks = [_mask(members) for members in system.sets]
     if 0 in set_masks:
         raise Infeasible("an empty set cannot be hit")
     result = set(_bits(_min_cover(set_masks, u)))

@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import GeneralPositionViolation, UnknownId, WrongMode
 
@@ -95,16 +95,103 @@ class Representation:
         raise UnknownId(path_id)
 
 
-@dataclass(frozen=True)
 class IntersectionGraph:
-    """Derived abstract graph: symmetric, irreflexive, vertices = path ids."""
+    """Derived abstract graph: symmetric, irreflexive, vertices = path ids.
 
-    vertices: tuple[str, ...]
-    adjacency: dict[str, tuple[str, ...]]
+    The graph is held once, as an int core: `index[i]` lists the positions,
+    in `vertices` order, of vertex i's neighbours.  `build_graph` and
+    `from_edges` sort the vertices by id and build the core from index
+    pairs, merging duplicates, so every list ascends and positions sort as
+    the ids do.  The str-keyed `adjacency` (id -> tuple of neighbour ids) is
+    a view derived from the core on first read; `neighbors`,
+    `closed_neighborhood` and `degree` read it, while `has_edge`, `edges`
+    and the set predicates read the core.  The public constructor takes
+    such an adjacency mapping, keeps it as the view and translates it to
+    the core, in the given vertex and neighbour order.  Treat both forms as
+    read-only.
+    """
+
+    __slots__ = ("vertices", "index", "_position", "_adjacency")
+
+    def __init__(self, vertices: Iterable[str], adjacency: Mapping[str, Sequence[str]]):
+        self.vertices = tuple(vertices)
+        self._position = None
+        position = self.position
+        if len(position) != len(self.vertices):
+            raise ValueError("vertex ids must be distinct")
+        if adjacency.keys() != position.keys():
+            raise ValueError("adjacency needs one entry per vertex and no other")
+        try:
+            self.index = [[position[w] for w in adjacency[v]] for v in self.vertices]
+        except KeyError as exc:
+            raise ValueError(f"neighbour {exc.args[0]!r} is not a vertex") from None
+        members = [set(nbrs) for nbrs in self.index]
+        for i, nbrs in enumerate(members):
+            if i in nbrs or any(i not in members[j] for j in nbrs):
+                raise ValueError("adjacency must be symmetric and irreflexive")
+        self._adjacency = adjacency
+
+    @classmethod
+    def _from_pairs(
+        cls,
+        vertices: tuple[str, ...],
+        rank: Mapping | Sequence[int],
+        pairs: Iterable[tuple],
+        merge: bool = True,
+    ) -> "IntersectionGraph":
+        """The graph on vertices (distinct, sorted by id) with an edge per
+        pair (x, y) of keys that rank maps to positions in vertices.  Repeated
+        pairs are merged unless merge is false, which a caller passes only
+        when no pair can come twice."""
+        index: list[list[int]] = [[] for _ in vertices]
+        for x, y in pairs:
+            a = rank[x]
+            b = rank[y]
+            if a == b:
+                raise ValueError("self-loop")
+            index[a].append(b)
+            index[b].append(a)
+        if merge:
+            index = [sorted(set(nbrs)) for nbrs in index]
+        else:
+            for nbrs in index:
+                nbrs.sort()
+        graph = cls.__new__(cls)
+        graph.vertices = vertices
+        graph.index = index
+        graph._position = graph._adjacency = None
+        return graph
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def position(self) -> dict[str, int]:
+        """Vertex id -> its position in `vertices` (built on first read)."""
+        if self._position is None:
+            self._position = {v: i for i, v in enumerate(self.vertices)}
+        return self._position
+
+    @property
+    def adjacency(self) -> Mapping[str, Sequence[str]]:
+        """Vertex id -> neighbour ids, the str view of the core."""
+        if self._adjacency is None:
+            verts = self.vertices
+            self._adjacency = {
+                v: tuple(map(verts.__getitem__, nbrs)) for v, nbrs in zip(verts, self.index)
+            }
+        return self._adjacency
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.index == other.index
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"IntersectionGraph(vertices={self.vertices!r}, adjacency={self.adjacency!r})"
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:
@@ -116,48 +203,43 @@ class IntersectionGraph:
         return frozenset(self.neighbors(v)) | {v}
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self.adjacency.get(u, ())
+        i = self.position.get(u)
+        return i is not None and self.position.get(v) in self.index[i]
 
     def edges(self) -> list[tuple[str, str]]:
-        out = []
-        for u in self.vertices:
-            for v in self.adjacency[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        verts = self.vertices
+        return [(u, verts[j]) for u, nbrs in zip(verts, self.index) for j in nbrs if u < verts[j]]
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
     def is_independent_set(self, ids: Iterable[str]) -> bool:
-        chosen = sorted(set(ids))
-        for i, u in enumerate(chosen):
-            for v in chosen[i + 1 :]:
-                if self.has_edge(u, v):
-                    return False
-        return True
+        position = self.position
+        chosen = {position[v] for v in set(ids) if v in position}
+        return not any(j in chosen for i in chosen for j in self.index[i])
 
     def is_dominating_set(self, ids: Iterable[str]) -> bool:
+        position = self.position
         chosen = set(ids)
-        if not chosen <= set(self.vertices):
+        if not all(v in position for v in chosen):
             return False
-        covered = set()
+        covered = bytearray(self.n)
         for v in chosen:
-            covered |= self.closed_neighborhood(v)
-        return covered == set(self.vertices)
+            i = position[v]
+            covered[i] = 1
+            for j in self.index[i]:
+                covered[j] = 1
+        return 0 not in covered
 
     @classmethod
     def from_edges(
         cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]
     ) -> "IntersectionGraph":
         verts = tuple(sorted(set(vertices)))
-        adj: dict[str, set[str]] = {v: set() for v in verts}
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loop")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(verts, {v: tuple(sorted(adj[v])) for v in verts})
+        position = {v: i for i, v in enumerate(verts)}
+        graph = cls._from_pairs(verts, position, edges)
+        graph._position = position
+        return graph
 
 
 class Crossings(NamedTuple):
@@ -341,9 +423,10 @@ def build_graph(rep: Representation) -> IntersectionGraph:
     Shared grid edges, all of EPG adjacency, come from one sort per corner
     row and column (`shared_edge_pairs`) with no pairwise re-test.  VPG mode
     adds the proper crossings among the contacts of one horizontal-vertical
-    sweep (`hv_contacts`).  Either way the cost is O(n log n) plus the
-    contacts found.  In EPG mode weak general position is checked, not
-    silently assumed.
+    sweep (`hv_contacts`).  The index pairs build the graph's int core
+    directly; no str-keyed adjacency is made unless a caller reads one.
+    Either way the cost is O(n log n) plus the contacts found.  In EPG mode
+    weak general position is checked, not silently assumed.
     """
     paths = rep.paths
     if rep.mode is Mode.EPG and not weak_general_position(rep):
@@ -352,7 +435,15 @@ def build_graph(rep: Representation) -> IntersectionGraph:
     if rep.mode is Mode.VPG:
         pairs = chain(pairs, _proper_pairs(paths))
     ids = [p.id for p in paths]
-    return IntersectionGraph.from_edges(ids, ((ids[i], ids[j]) for i, j in pairs))
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = [0] * len(ids)
+    for k, i in enumerate(order):
+        rank[i] = k
+    # A pair sharing a row edge and a column edge shares its corner, which
+    # EPG mode refuses above, so there each pair comes once.
+    return IntersectionGraph._from_pairs(
+        tuple([ids[i] for i in order]), rank, pairs, merge=rep.mode is Mode.VPG
+    )
 
 
 def is_one_string(rep: Representation) -> bool:

@@ -38,12 +38,15 @@ def greedy_line_mds(rep: Representation) -> set[str]:
     if rep.mode is not Mode.EPG:
         raise WrongMode("greedy line MDS applies to EPG representations")
     graph = build_graph(rep)  # raises on a general-position violation
-    alive = set(graph.vertices)
+    index, position = graph.index, graph.position
+    alive = [True] * graph.n
     chosen: set[str] = set()
     for p in order_paths(rep.paths):
-        if p.id in alive:
+        i = position[p.id]
+        if alive[i]:
             chosen.add(p.id)
-            alive -= graph.closed_neighborhood(p.id)
+            for j in index[i]:
+                alive[j] = False
     return chosen
 
 

@@ -100,8 +100,9 @@ class NetParams:
 
 @dataclass
 class SetSystem:
-    """Hitting-set system: two supporting segments per path, one set per
-    cross, plus the mutable weights driving the reweighting loop.
+    """Hitting-set system: two supporting segments per path (path k's at
+    elements 2k and 2k + 1, in representation order), one set per cross,
+    plus the mutable weights driving the reweighting loop.
 
     axis_elements, axis_sets (each set restricted to an axis's elements) and
     element_sets (per element, the ascending indices of the sets holding it)
@@ -397,13 +398,19 @@ def _refuse_touching(system: SetSystem) -> None:
     another path's perpendicular part; the remaining arm's support then
     overhangs across that part, so the crosses meet although the paths only
     touch, and a hitting set need not dominate."""
-    for pid, members in zip(system.path_ids, system.sets):
-        closed = system.graph.closed_neighborhood(pid)
+    graph = system.graph
+    rank = [graph.position[pid] for pid in system.path_ids]
+    mark = [-1] * len(rank)  # mark[r] == k: vertex r is in set k's closed neighbourhood
+    for k, members in enumerate(system.sets):
+        r = rank[k]
+        mark[r] = k
+        for j in graph.index[r]:
+            mark[j] = k
         for e in members:
-            owner = system.universe[e].owner
-            if owner not in closed:
+            if mark[rank[e // 2]] != k:  # element e belongs to path e // 2
                 raise GeneralPositionViolation(
-                    f"paths {pid} and {owner} only touch, but their crosses meet"
+                    f"paths {system.path_ids[k]} and {system.universe[e].owner} "
+                    "only touch, but their crosses meet"
                 )
 
 

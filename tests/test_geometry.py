@@ -1,12 +1,18 @@
 """Geometry core: path anatomy, adjacency tests, graph derivation."""
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridpaths.errors import GeneralPositionViolation, WrongMode
+from gridpaths.errors import GeneralPositionViolation, UnknownId, WrongMode
+from gridpaths.exact import brute_mds, brute_mis
 from gridpaths.geometry import (
     GridPath,
     GridPoint,
+    IntersectionGraph,
     Mode,
     PathType,
     Representation,
@@ -21,7 +27,9 @@ from gridpaths.geometry import (
     weak_general_position,
 )
 
-from conftest import hand_crossings, hand_vpg_adjacent
+from gridpaths.mds_epg import greedy_line_mds, order_paths
+
+from conftest import hand_crossings, hand_vpg_adjacent, pairwise_edges
 
 
 def P(pid, cx, cy, hx, vy):
@@ -308,3 +316,173 @@ class TestPointSetsIntersect:
             a = rand_path(rng, "a")
             b = rand_path(rng, "b")
             assert point_sets_intersect(a, b) == bool(all_points(a) & all_points(b))
+
+
+# ------------------------------------------------------------ the graph core
+
+CORE = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def graph_data(draw):
+    """Distinct ids in drawn (unsorted) order, and edges over them with
+    repeats and both orientations of some pairs."""
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=2), unique=True, max_size=9))
+    if len(ids) < 2:
+        return ids, []
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=20))
+    edges += [(v, u) for u, v in edges[: draw(st.integers(0, len(edges)))]]
+    return ids, edges
+
+
+def reference_adjacency(ids, edges):
+    """The plain form: id -> sorted tuple of neighbour ids."""
+    nbrs = {v: set() for v in ids}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return {v: tuple(sorted(nbrs[v])) for v in ids}
+
+
+def assert_matches_reference(g, order, ref, chosen):
+    """Every public method of g agrees with the reference dict ref on the
+    vertex order `order`; chosen is a list of ids, some maybe unknown."""
+    assert g.vertices == tuple(order)
+    assert g.n == len(order)
+    assert g.adjacency == ref
+    assert g == IntersectionGraph(order, ref)
+    assert g.edges() == [(u, v) for u in order for v in ref[u] if u < v]
+    for u in order:
+        assert g.neighbors(u) == ref[u]
+        assert g.degree(u) == len(ref[u])
+        assert g.closed_neighborhood(u) == frozenset(ref[u]) | {u}
+    with pytest.raises(UnknownId):
+        g.neighbors("zz")
+    for u in [*order, "zz"]:
+        for v in [*order, "zz"]:
+            assert g.has_edge(u, v) is (v in ref.get(u, ()))
+    known = [v for v in chosen if v in ref]
+    independent = not any(v in ref[u] for u in known for v in known)
+    assert g.is_independent_set(chosen) is independent
+    covered = set(known).union(*(ref[u] for u in known))
+    dominating = len(known) == len(chosen) and covered == set(order)
+    assert g.is_dominating_set(chosen) is dominating
+
+
+@CORE
+@given(graph_data(), st.data())
+def test_core_matches_plain_reference(data, draw):
+    ids, edges = data
+    ref = reference_adjacency(ids, edges)
+    probe = st.lists(st.sampled_from([*ids, "zz"]), max_size=6)
+    public = IntersectionGraph(ids, ref)
+    assert_matches_reference(public, ids, ref, draw.draw(probe))
+    built = IntersectionGraph.from_edges(ids + ids[:2], edges)
+    assert_matches_reference(built, sorted(ids), ref, draw.draw(probe))
+    assert (public == built) is (ids == sorted(ids))
+
+
+@CORE
+@given(graph_data())
+def test_oracles_agree_on_both_forms(data):
+    ids, edges = data
+    ref = reference_adjacency(ids, edges)
+    built = IntersectionGraph.from_edges(ids, edges)
+    public = IntersectionGraph(sorted(ids), ref)
+    assert brute_mis(built) == brute_mis(public)
+    assert brute_mds(built) == brute_mds(public)
+
+
+@CORE
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                          st.integers(-4, 4), st.integers(-4, 4)), max_size=14))
+def test_greedy_matches_the_str_form(coords):
+    corners, paths = set(), []
+    for cx, cy, dx, dy in coords:
+        if (cx, cy) not in corners:
+            corners.add((cx, cy))
+            paths.append(P(f"p{len(paths)}", cx, cy, cx + dx, cy + dy))
+    rep = Representation(Mode.EPG, tuple(paths))
+    ref = reference_adjacency([p.id for p in paths], pairwise_edges(rep))
+    plain = IntersectionGraph(sorted(ref), ref)
+    alive, expected = set(plain.vertices), set()
+    for p in order_paths(paths):
+        if p.id in alive:
+            expected.add(p.id)
+            alive -= plain.closed_neighborhood(p.id)
+    assert greedy_line_mds(rep) == expected
+
+
+class TestPublicConstructor:
+    def test_rejects_malformed_adjacency(self):
+        with pytest.raises(ValueError):
+            IntersectionGraph(("a", "a"), {"a": ()})
+        with pytest.raises(ValueError):
+            IntersectionGraph(("a", "b"), {"a": ("b",)})
+        with pytest.raises(ValueError):
+            IntersectionGraph(("a",), {"a": ("b",)})
+        with pytest.raises(ValueError):
+            IntersectionGraph(("a", "b"), {"a": ("b",), "b": ()})
+        with pytest.raises(ValueError):
+            IntersectionGraph(("a",), {"a": ("a",)})
+
+    def test_from_edges_rejects_self_loop(self):
+        with pytest.raises(ValueError):
+            IntersectionGraph.from_edges(("a", "b"), [("a", "b"), ("b", "b")])
+
+
+# ------------------------------------------- metamorphic checks at scale
+
+def _benchmark_gen():
+    """The benchmark's stdlib-only instance generators, loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
+    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _grid_maps():
+    """The 7 symmetries of the grid other than the identity, a translation,
+    and the scalings x -> 2x and x -> 3x + 1 of both coordinates, as maps of
+    (cx, cy, hx, vy)."""
+    maps = {}
+    for sx in (1, -1):
+        for sy in (1, -1):
+            if (sx, sy) != (1, 1):
+                maps[f"flip{sx},{sy}"] = lambda cx, cy, hx, vy, sx=sx, sy=sy: (
+                    sx * cx, sy * cy, sx * hx, sy * vy)
+            # Swapping the axes turns each horizontal part into a vertical one.
+            maps[f"swap{sx},{sy}"] = lambda cx, cy, hx, vy, sx=sx, sy=sy: (
+                sx * cy, sy * cx, sx * vy, sy * hx)
+    maps["translate"] = lambda cx, cy, hx, vy: (cx + 7, cy - 11, hx + 7, vy - 11)
+    maps["2x"] = lambda *c: tuple(2 * v for v in c)
+    maps["3x+1"] = lambda *c: tuple(3 * v + 1 for v in c)
+    return maps
+
+
+@pytest.mark.parametrize("family", ["one-string n3000", "mixed n3000", "epg-dc n2000"])
+def test_edges_invariant_under_grid_maps(family):
+    """build_graph (and is_one_string in VPG mode) at sizes the all-pairs
+    references cannot reach: every grid map keeps the edge set.  Most of the
+    time goes to drawing the one-string instance, which checks each new path
+    against all placed ones."""
+    gen = _benchmark_gen()
+    rng = random.Random(1)
+    if family == "one-string n3000":
+        mode, paths = Mode.VPG, gen.vpg_one_string(rng, 3000, 6000, 600)
+    elif family == "mixed n3000":
+        mode, paths = Mode.VPG, gen.vpg_mixed(rng, 3000, 3000, 120)
+    else:
+        mode, paths = Mode.EPG, gen.epg_double_crossing(rng, 2000, 666, 4)
+    rep = Representation(mode, tuple(P(*p) for p in paths))
+    edges = set(build_graph(rep).edges())
+    assert len(edges) > len(paths)
+    one_string = is_one_string(rep) if mode is Mode.VPG else None
+    assert one_string is {"one-string n3000": True, "mixed n3000": False}.get(family)
+    for name, f in _grid_maps().items():
+        image = Representation(mode, tuple(P(pid, *f(*c)) for pid, *c in paths))
+        assert set(build_graph(image).edges()) == edges, name
+        if mode is Mode.VPG:
+            assert is_one_string(image) is one_string, name

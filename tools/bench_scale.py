@@ -1,4 +1,4 @@
-"""Scale timings of the VPG graph layers, written to BENCH_scale.json.
+"""Scale timings of the graph layers, written to BENCH_scale.json.
 
 Usage, from the repository root:
 
@@ -8,11 +8,15 @@ Usage, from the repository root:
 Each run draws one-string instances at n = 1000, 3000 and 10000 with the
 benchmark's own generator, `benchmark/gen.vpg_one_string(random.Random(1),
 n, 2n, n // 5)`, and times the library calls `build_graph`, `is_one_string`
-and `build_set_system` on each, in raw wall time: the minimum of three
-calls, or a single call when the first takes over ten seconds.  The run is
-merged into BENCH_scale.json under its label, so two source trees measured
-in turn on one machine sit side by side.  The gridpaths package is imported
-from PYTHONPATH if set there, otherwise from this repository's src/.
+and `build_set_system` on each.  At the same sizes it times EPG
+`build_graph` on `benchmark/gen.epg_double_crossing(random.Random(1), n,
+n // 3, 4)`, the epg-mix workload's double-crossing family.  Times are raw
+wall time: the minimum of seven calls (three before the EPG rows were
+added; each run records its count), or a single call when the first takes
+over ten seconds.  The run is merged into BENCH_scale.json under its label,
+so two source trees measured in turn on one machine sit side by side.  The
+gridpaths package is imported from PYTHONPATH if set there, otherwise from
+this repository's src/.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from gridpaths.mds_vpg import build_set_system  # noqa: E402
 
 SIZES = (1000, 3000, 10000)
 SEED = 1
-REPEATS = 3
+REPEATS = 7
 SINGLE_RUN_S = 10.0
 OUTPUT = ROOT / "BENCH_scale.json"
 
@@ -70,6 +74,9 @@ def measure(n: int, seed: int) -> dict:
     graph_ms, graph = _time(build_graph, rep)
     check_ms, one_string = _time(is_one_string, rep)
     system_ms, system = _time(build_set_system, rep)
+    epg_paths = gen.epg_double_crossing(random.Random(seed), n, n // 3, 4)
+    epg_rep = parse_instance(gen.instance_text("epg", epg_paths)).rep
+    epg_ms, epg_graph = _time(build_graph, epg_rep)
     return {
         "n": n,
         "seed": seed,
@@ -79,6 +86,8 @@ def measure(n: int, seed: int) -> dict:
         "build_graph_ms": round(graph_ms, 2),
         "is_one_string_ms": round(check_ms, 2),
         "build_set_system_ms": round(system_ms, 2),
+        "epg_dc_edges": len(epg_graph.edges()),
+        "epg_dc_build_graph_ms": round(epg_ms, 2),
     }
 
 
@@ -95,8 +104,10 @@ def main() -> int:
     doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
     doc["about"] = (
         "Raw wall-time ms of library calls on benchmark/gen.vpg_one_string("
-        "random.Random(seed), n, 2n, n // 5); min of 3 calls, or one call when "
-        "it takes over 10 s. Written by tools/bench_scale.py."
+        "random.Random(seed), n, 2n, n // 5), and epg_dc_* of EPG build_graph on "
+        "benchmark/gen.epg_double_crossing(random.Random(seed), n, n // 3, 4); "
+        "min of provenance.repeats calls, or one call when it takes over 10 s. "
+        "Written by tools/bench_scale.py."
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": {
