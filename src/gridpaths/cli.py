@@ -7,6 +7,7 @@ command line and input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -217,6 +218,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridpaths",

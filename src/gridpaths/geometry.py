@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -75,6 +76,12 @@ class Representation:
 
     vline / hline optionally record the reference lines of restricted EPG
     families (a vertical line x = vline and a horizontal line y = hline).
+
+    The index pairs that graph building, the one-string check and the
+    dominating-set pipeline read (shared row and column edges, and the
+    horizontal-vertical contacts split into proper crossings and touching
+    contacts) are swept at most once per representation, on first use, and
+    kept with it.  They are not fields, so equality and hashing ignore them.
     """
 
     mode: Mode
@@ -93,6 +100,28 @@ class Representation:
             if p.id == path_id:
                 return p
         raise UnknownId(path_id)
+
+    @cached_property
+    def _shared_edges(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Index pairs sharing a row edge, and those sharing a column edge."""
+        paths = self.paths
+        return list(shared_edge_pairs(paths, False)), list(shared_edge_pairs(paths, True))
+
+    @cached_property
+    def _contacts(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], bool]:
+        """The `hv_contacts` pairs (i, j), split into those where path i's
+        horizontal part properly crosses path j's vertical part and the
+        touching rest, and whether some pair crosses properly both ways."""
+        paths = self.paths
+        proper: list[tuple[int, int]] = []
+        touching: list[tuple[int, int]] = []
+        for i, j in hv_contacts(paths):
+            if _proper_cross(paths[i], paths[j]) is None:
+                touching.append((i, j))
+            else:
+                proper.append((i, j))
+        crossed = set(proper)
+        return proper, touching, any((j, i) in crossed for i, j in proper)
 
 
 class IntersectionGraph:
@@ -409,12 +438,8 @@ def shared_edge_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tup
                 yield i, j
 
 
-def _proper_pairs(paths: Sequence[GridPath]) -> Iterator[tuple[int, int]]:
-    """Index pairs (i, j) where path i's horizontal part properly crosses
-    path j's vertical part; each such crossing is a closed contact."""
-    for i, j in hv_contacts(paths):
-        if _proper_cross(paths[i], paths[j]) is not None:
-            yield i, j
+def _unordered(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    return {(i, j) if i < j else (j, i) for i, j in pairs}
 
 
 def build_graph(rep: Representation) -> IntersectionGraph:
@@ -423,27 +448,34 @@ def build_graph(rep: Representation) -> IntersectionGraph:
     Shared grid edges, all of EPG adjacency, come from one sort per corner
     row and column (`shared_edge_pairs`) with no pairwise re-test.  VPG mode
     adds the proper crossings among the contacts of one horizontal-vertical
-    sweep (`hv_contacts`).  The index pairs build the graph's int core
-    directly; no str-keyed adjacency is made unless a caller reads one.
-    Either way the cost is O(n log n) plus the contacts found.  In EPG mode
-    weak general position is checked, not silently assumed.
+    sweep (`hv_contacts`).  Both are the representation's kept pairs, so
+    the one-string check and the dominating-set pipeline reuse the same
+    sweeps.  The index pairs build the graph's int core directly; no
+    str-keyed adjacency is made unless a caller reads one.  Either way the
+    cost is O(n log n) plus the contacts found.  In EPG mode weak general
+    position is checked, not silently assumed.
     """
     paths = rep.paths
     if rep.mode is Mode.EPG and not weak_general_position(rep):
         raise GeneralPositionViolation("two EPG paths share a corner")
-    pairs = chain(shared_edge_pairs(paths, False), shared_edge_pairs(paths, True))
+    rows, cols = rep._shared_edges
+    pairs = chain(rows, cols)
+    # A pair comes twice only when it shares a row edge and a column edge,
+    # and so its corner, which EPG mode refuses above, or when it crosses
+    # properly both ways.
+    merge = False
     if rep.mode is Mode.VPG:
-        pairs = chain(pairs, _proper_pairs(paths))
+        proper, _, crosses_twice = rep._contacts
+        pairs = chain(pairs, proper)
+        merge = crosses_twice or bool(
+            rows and cols and not _unordered(rows).isdisjoint(_unordered(cols))
+        )
     ids = [p.id for p in paths]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = [0] * len(ids)
     for k, i in enumerate(order):
         rank[i] = k
-    # A pair sharing a row edge and a column edge shares its corner, which
-    # EPG mode refuses above, so there each pair comes once.
-    return IntersectionGraph._from_pairs(
-        tuple([ids[i] for i in order]), rank, pairs, merge=rep.mode is Mode.VPG
-    )
+    return IntersectionGraph._from_pairs(tuple([ids[i] for i in order]), rank, pairs, merge)
 
 
 def is_one_string(rep: Representation) -> bool:
@@ -452,11 +484,8 @@ def is_one_string(rep: Representation) -> bool:
     adjacent pair crosses exactly once."""
     if rep.mode is not Mode.VPG:
         raise WrongMode("one-string applies to VPG representations")
-    paths = rep.paths
-    if any(shared_edge_pairs(paths, False)) or any(shared_edge_pairs(paths, True)):
-        return False
-    crossed = set(_proper_pairs(paths))
-    return not any((j, i) in crossed for i, j in crossed)
+    rows, cols = rep._shared_edges
+    return not rows and not cols and not rep._contacts[2]
 
 
 def split_neighbors(rep: Representation, path_id: str) -> tuple[set[str], set[str]]:

@@ -11,7 +11,14 @@ light set it misses has its weight doubled in that one pass, so a solve
 draws a handful of nets per guess rather than one per doubling.  A set is
 heavy for an eps-net when its weighted mass reaches eps times the total;
 with eps = p/q that is tested as mass * q >= p * total, exactly and in
-integers.
+integers.  The loop keeps every set's mass, whole and per axis, as it
+doubles weights, so a net reads the masses instead of re-summing them.
+
+The sets come from the representation's kept contacts, swept once with the
+graph and the one-string check: where path i's horizontal part properly
+crosses path j's vertical part, set i holds j's vertical support and set j
+holds i's horizontal support, with no segment test.  Only the few touching
+contacts are tested support by support.
 
 The nets are plain weighted samples of 4 (1/eps) ln(1/eps + 2) elements.
 Nets of size O((1/eps) log(1/eps)) certify an O(log OPT) approximation
@@ -47,7 +54,6 @@ from .geometry import (
     IntersectionGraph,
     Representation,
     build_graph,
-    hv_contacts,
     is_one_string,
 )
 
@@ -62,6 +68,9 @@ _MAX_RESAMPLES = 64  # verified-net draws per axis before NetFailure
 class Axis(Enum):
     H = "H"
     V = "V"
+
+
+_AXES = (Axis.H, Axis.V)  # element e lies on axis _AXES[e & 1]
 
 
 @dataclass(frozen=True)
@@ -100,14 +109,17 @@ class NetParams:
 
 @dataclass
 class SetSystem:
-    """Hitting-set system: two supporting segments per path (path k's at
-    elements 2k and 2k + 1, in representation order), one set per cross,
-    plus the mutable weights driving the reweighting loop.
+    """Hitting-set system: two supporting segments per path (path k's
+    horizontal one at element 2k and its vertical one at 2k + 1, in
+    representation order), one set per cross, plus the mutable weights
+    driving the reweighting loop.
 
     axis_elements, axis_sets (each set restricted to an axis's elements) and
     element_sets (per element, the ascending indices of the sets holding it)
-    are derived from universe and sets at construction; they do not depend
-    on the weights, which the nets read afresh on every call.
+    are derived from sets at construction, each element's axis from its
+    parity; they do not depend on the weights.  A net called without masses
+    sums them from the weights afresh; bg_hitting_set keeps them as it
+    doubles weights and passes them in.
     """
 
     universe: list[Segment]
@@ -124,14 +136,11 @@ class SetSystem:
         for idx, members in enumerate(self.sets):
             for e in members:
                 self.element_sets[e].append(idx)
-        self.axis_elements = {
-            axis: [i for i, s in enumerate(self.universe) if s.axis is axis]
-            for axis in Axis
-        }
+        n = len(self.universe)
+        self.axis_elements = {axis: list(range(bit, n, 2)) for bit, axis in enumerate(_AXES)}
         self.axis_sets = {
-            axis: [[e for e in members if self.universe[e].axis is axis]
-                   for members in self.sets]
-            for axis in Axis
+            axis: [[e for e in members if e & 1 == bit] for members in self.sets]
+            for bit, axis in enumerate(_AXES)
         }
 
 
@@ -183,14 +192,24 @@ def build_set_system(rep: Representation) -> SetSystem:
     elements meeting it.  A cross's own two segments belong to its set by
     definition, regardless of degeneracy.  Two crosses can meet only where
     their paths share a grid edge or where a horizontal part meets a
-    vertical part (`hv_contacts`); one-string input shares no edge, and
-    meeting is symmetric, so each contact pair's four segment tests fill
-    both crosses' sets."""
+    vertical part (`hv_contacts`); one-string input shares no edge.
+
+    The contacts are the representation's kept ones, which the one-string
+    check and the graph read too.  Where i's horizontal part properly
+    crosses j's vertical part, the two supports meet there and no other
+    pair of i's and j's supports meets unless j's horizontal part also
+    touches i's vertical part, a contact of its own.  So a proper contact
+    puts 2j + 1 in set i and 2i in set j untested.  Meeting is symmetric,
+    so each touching pair's four segment tests fill both crosses' sets."""
     if not is_one_string(rep):
         raise NotOneString("set system requires a one-string representation")
     universe = [s for c in map(build_cross, rep.paths) for s in (c.h_support, c.v_support)]
     members = [{2 * idx, 2 * idx + 1} for idx in range(len(rep.paths))]
-    for i, k in {(i, k) if i < k else (k, i) for i, k in hv_contacts(rep.paths)}:
+    proper, touching, _ = rep._contacts
+    for i, j in proper:
+        members[i].add(2 * j + 1)
+        members[j].add(2 * i)
+    for i, k in {(i, k) if i < k else (k, i) for i, k in touching}:
         for a in (2 * i, 2 * i + 1):
             for b in (2 * k, 2 * k + 1):
                 if segments_intersect(universe[a], universe[b]):
@@ -246,11 +265,14 @@ def axis_net(
     eps: Fraction,
     params: NetParams,
     rng: random.Random | None = None,
+    masses: tuple[list[int], int] | None = None,
 ) -> set[int]:
     """Weighted sample of axis elements hitting every set whose axis-restricted
     weighted mass reaches eps times the axis total.
 
-    Each sample is verified exhaustively; failed draws are retried up to
+    masses, when given, is the per-set axis-restricted mass and the axis
+    total under the current weights; otherwise both are summed here.  Each
+    sample is verified exhaustively; failed draws are retried up to
     _MAX_RESAMPLES times before NetFailure.
     """
     eps = Fraction(eps)
@@ -263,7 +285,12 @@ def axis_net(
         return set()
     weight = system.weights.__getitem__
     weights = list(map(weight, elements))
-    total = sum(weights)
+    restricted_sets = system.axis_sets[axis]
+    if masses is None:
+        set_masses = [sum(map(weight, restricted)) for restricted in restricted_sets]
+        total = sum(weights)
+    else:
+        set_masses, total = masses
     if total == 0:
         return set()
     # mass >= eps * total, cross-multiplied: exact without Fraction arithmetic.
@@ -272,8 +299,8 @@ def axis_net(
     bound, scale = eps.numerator * total, eps.denominator
     demanding = [
         restricted
-        for restricted in system.axis_sets[axis]
-        if sum(map(weight, restricted)) * scale >= bound
+        for restricted, mass in zip(restricted_sets, set_masses)
+        if mass * scale >= bound
     ]
     if not demanding:
         return set()
@@ -296,18 +323,21 @@ def combined_net(
     eps: Fraction,
     params: NetParams,
     rng: random.Random | None = None,
+    masses: list[tuple[list[int], int]] | None = None,
 ) -> set[int]:
     """Union of half-eps nets per axis.
 
     A set with weighted mass at least eps times the full total places at
     least half that mass on one axis, so the corresponding axis net hits it.
+    masses, when given, holds axis_net's masses for Axis.H and for Axis.V.
     """
     eps = Fraction(eps)
     if rng is None:
         rng = random.Random(params.rng_seed)
     half = eps / 2
-    return axis_net(system, Axis.H, half, params, rng) | axis_net(
-        system, Axis.V, half, params, rng
+    h_masses, v_masses = masses or (None, None)
+    return axis_net(system, Axis.H, half, params, rng, h_masses) | axis_net(
+        system, Axis.V, half, params, rng, v_masses
     )
 
 
@@ -341,9 +371,10 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
     so these sets were light when it was drawn.  Each counts one doubling
     against the guess's budget, and each still light against the current
     masses (earlier doublings of the pass can make a set heavy) doubles its
-    elements' weights.  The per-set masses and the total are kept
-    incrementally, so a doubling touches only the sets holding the doubled
-    elements.  Light sets can only double a bounded number of times
+    elements' weights.  The per-set masses and the total, whole and per
+    axis, are kept incrementally, so a doubling touches only the sets
+    holding the doubled elements and a net's heavy-set test costs
+    O(sets).  Light sets can only double a bounded number of times
     before the guess is provably too small, at which point r doubles.  Once
     r reaches the universe size every set qualifies for the nets, so
     termination is guaranteed.  A round draws the combined net up to
@@ -361,12 +392,15 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
         weights[:] = [1] * n_elems
         masses = [len(members) for members in sets]
         total = n_elems
+        axis_masses = [list(map(len, system.axis_sets[axis])) for axis in _AXES]
+        axis_totals = [len(system.axis_elements[axis]) for axis in _AXES]
         budget = max(1, math.ceil(4 * r * math.log2(n_elems / r + 2)))
         doublings = 0
         while doublings < budget:
             for _ in range(_NET_ATTEMPTS):
                 try:
-                    net = combined_net(system, Fraction(1, 2 * r), params, rng)
+                    net = combined_net(system, Fraction(1, 2 * r), params, rng,
+                                       list(zip(axis_masses, axis_totals)))
                     break
                 except NetFailure:
                     pass
@@ -387,8 +421,11 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
                         w = weights[e]
                         weights[e] = 2 * w
                         total += w
+                        axis_totals[e & 1] += w
+                        on_axis = axis_masses[e & 1]
                         for s in element_sets[e]:
                             masses[s] += w
+                            on_axis[s] += w
         r *= 2
 
 

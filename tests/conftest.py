@@ -20,6 +20,7 @@ from gridpaths.geometry import (
     classify_type,
     crossing_points,
     epg_adjacent,
+    hv_contacts,
     vpg_adjacent,
 )
 from gridpaths.mds_vpg import build_cross, segments_intersect
@@ -157,6 +158,33 @@ def pairwise_sets(rep: Representation) -> list[list[int]]:
         })
         for i, c in enumerate(crosses)
     ]
+
+
+def contact_sets(rep: Representation) -> list[list[int]]:
+    """Per cross, its members from all four support tests on every
+    `hv_contacts` pair, proper crossings included: the set-system
+    membership before proper crossings filled it untested."""
+    universe = [s for c in map(build_cross, rep.paths) for s in (c.h_support, c.v_support)]
+    members = [{2 * i, 2 * i + 1} for i in range(len(rep.paths))]
+    for i, k in {(i, k) if i < k else (k, i) for i, k in hv_contacts(rep.paths)}:
+        for a in (2 * i, 2 * i + 1):
+            for b in (2 * k, 2 * k + 1):
+                if segments_intersect(universe[a], universe[b]):
+                    members[i].add(b)
+                    members[k].add(a)
+    return [sorted(m) for m in members]
+
+
+def touching_refusal(rep: Representation, sets) -> tuple[str, str] | None:
+    """The first (set's path id, element owner id), scanning the sets and
+    their elements in order, whose owner is another path not adjacent to
+    the set's path by point enumeration; None when there is none."""
+    paths = rep.paths
+    for k, members in enumerate(sets):
+        for e in members:
+            if e // 2 != k and not hand_vpg_adjacent(paths[k], paths[e // 2]):
+                return paths[k].id, paths[e // 2].id
+    return None
 
 
 def pairwise_shared_edges(rep: Representation, vertical: bool) -> list[tuple[str, str]]:

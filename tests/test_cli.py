@@ -1,6 +1,7 @@
 """File formats and the command-line front end."""
 import pytest
 
+from gridpaths import cli
 from gridpaths.cli import run
 from gridpaths.errors import ParseError
 from gridpaths.generators import gen_vpg
@@ -205,6 +206,39 @@ class TestCliCommands:
             "error: GeneralPositionViolation: paths a and b only touch, "
             "but their crosses meet\n"
         )
+
+    def test_reused_parser_matches_fresh(self, tmp_path, capsys):
+        # The parser is built once per process: usage errors in between leave
+        # nothing behind, and omitted options take their defaults again.
+        inst = tmp_path / "inst.txt"
+        inst.write_text(
+            "mode vpg\npath a 0 0 2 2\npath b 1 -1 3 1\npath c 5 5 8 8\n", encoding="utf-8"
+        )
+        calls = [
+            ["solve", "mds-vpg", "--input", str(inst), "--seed", "3"],
+            ["solve", "bogus", "--input", str(inst)],
+            ["solve", "mds-vpg", "--input", str(inst)],
+            ["verify", "--check", "one-string"],
+            ["verify", "--check", "one-string", "--input", str(inst)],
+            ["frobnicate"],
+            ["solve", "mis", "--input", str(inst), "--seed", "x"],
+            ["solve", "mis", "--input", str(inst)],
+        ]
+
+        def outcomes(fresh):
+            out = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code = run(argv)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        reused = outcomes(fresh=False)
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 2, 2, 0]
+        assert outcomes(fresh=True) == reused
+        assert cli._build_parser() is cli._build_parser()
 
     def test_gen_graph_infeasible_exit_code(self, tmp_path):
         assert run(["gen-graph", "--n", "2", "--m", "3", "--seed", "0"]) == 1

@@ -29,7 +29,7 @@ from gridpaths.geometry import (
 
 from gridpaths.mds_epg import greedy_line_mds, order_paths
 
-from conftest import hand_crossings, hand_vpg_adjacent, pairwise_edges
+from conftest import hand_crossings, hand_vpg_adjacent, pairwise_edges, pairwise_graph
 
 
 def P(pid, cx, cy, hx, vy):
@@ -219,6 +219,23 @@ class TestBuildGraph:
         b = P("b", 0, 0, 2, 3)
         with pytest.raises(GeneralPositionViolation):
             build_graph(Representation(Mode.EPG, (a, b)))
+
+    def test_repeated_pairs_give_one_edge(self):
+        # a and b cross properly both ways; c and d share a corner, so a row
+        # edge and a column edge; e crosses c's and d's horizontal parts.
+        rep = Representation(Mode.VPG, (
+            P("a", 0, 0, 6, 6), P("b", 5, 5, -1, -1),
+            P("c", 20, 0, 23, 3), P("d", 20, 0, 22, 4), P("e", 21, -1, 24, 2),
+        ))
+        g = build_graph(rep)
+        assert g.index == [[1], [0], [3, 4], [2, 4], [2, 3]]
+        assert g == pairwise_graph(rep.paths)
+
+    def test_kept_pairs_leave_equality_alone(self):
+        rep = Representation(Mode.VPG, (P("a", 0, 0, 2, 2), P("b", 1, -1, 3, 1)))
+        twin = Representation(Mode.VPG, rep.paths)
+        build_graph(rep)
+        assert rep == twin and hash(rep) == hash(twin) and repr(rep) == repr(twin)
 
     def test_order_independence(self):
         rng = random.Random(23)

@@ -1,10 +1,11 @@
 """Cross construction, hitting-set system, nets and the doubling pipeline."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gridpaths import mds_vpg
+from gridpaths import geometry, mds_vpg
 from gridpaths.errors import (
     GeneralPositionViolation,
     NetFailure,
@@ -20,6 +21,7 @@ from gridpaths.geometry import (
     Representation,
     build_graph,
     crossing_points,
+    is_one_string,
     point_sets_intersect,
     vpg_adjacent,
 )
@@ -53,6 +55,24 @@ def axis_mass(system, members, axis):
     return sum(
         system.weights[e] for e in members if system.universe[e].axis is axis
     )
+
+
+def summed_masses(system):
+    """Per axis, the sets' axis-restricted masses and the axis total, summed
+    from the current weights: the masses argument of the nets."""
+    w = system.weights
+    return [
+        ([sum(w[e] for e in members) for members in system.axis_sets[axis]],
+         sum(w[e] for e in system.axis_elements[axis]))
+        for axis in (Axis.H, Axis.V)
+    ]
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except NetFailure:
+        return NetFailure
 
 
 def scan_net_soundness(system, net, eps):
@@ -316,6 +336,24 @@ class TestNets:
         with pytest.raises(ValueError):
             axis_net(system, Axis.H, Fraction(0), NetParams())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_passed_masses_give_the_same_net(self, seed):
+        # The masses bg_hitting_set keeps stand in for summing them afresh:
+        # same demanding sets, same draws, same net or the same failure.
+        system = build_set_system(dense_vpg(seed, 60, 60, 12, True))
+        rng = random.Random(seed)
+        system.weights[:] = [rng.choice((1, 1, 2, 4, 32, 512)) for _ in system.weights]
+        masses = summed_masses(system)
+        params = NetParams(rng_seed=seed)
+        for eps in (Fraction(1), Fraction(1, 3), Fraction(1, 16), Fraction(1, 128)):
+            for axis, axis_masses in zip((Axis.H, Axis.V), masses):
+                assert outcome(
+                    axis_net, system, axis, eps, params, random.Random(seed), axis_masses
+                ) == outcome(axis_net, system, axis, eps, params, random.Random(seed))
+            assert outcome(
+                combined_net, system, eps, params, random.Random(seed), masses
+            ) == outcome(combined_net, system, eps, params, random.Random(seed))
+
 
 class TestBgHittingSet:
     def test_single_path_system(self):
@@ -349,7 +387,7 @@ class TestBgHittingSet:
         system = build_set_system(rep)
         seen = []
 
-        def flaky(system, eps, params, rng):
+        def flaky(system, eps, params, rng, masses):
             seen.append(eps)
             if len(seen) <= failures:
                 raise NetFailure("forced")
@@ -393,6 +431,22 @@ class TestBgHittingSet:
         assert verify_hitting(system, hs) is None
         assert len(calls) <= 20
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_kept_masses_match_the_weights(self, monkeypatch, seed):
+        # Every net the loop draws gets the masses it would sum itself.
+        system = build_set_system(dense_vpg(5, 150, 300, 30, True))
+        real = mds_vpg.combined_net
+        checked = []
+
+        def checking(system, eps, params, rng, masses):
+            assert masses == summed_masses(system)
+            checked.append(max(system.weights))
+            return real(system, eps, params, rng, masses)
+
+        monkeypatch.setattr(mds_vpg, "combined_net", checking)
+        bg_hitting_set(system, NetParams(rng_seed=seed))
+        assert max(checked) > 1  # some net was drawn after a doubling
+
     def test_deterministic(self):
         rep = one_string_rep(12, 9)
         first = bg_hitting_set(build_set_system(rep), NetParams(rng_seed=3))
@@ -427,6 +481,24 @@ class TestPipeline:
         rep = Representation(Mode.VPG, (P("a", 0, 0, 6, 6), P("b", 5, 5, -1, -1)))
         with pytest.raises(NotOneString):
             approx_mds_one_string(rep, NetParams())
+
+    def test_one_contact_sweep_per_solve(self, monkeypatch):
+        # The one-string check, the set system and the graph share the
+        # representation's kept pairs: one horizontal-vertical sweep and one
+        # shared-edge pass per axis.
+        rep = dense_vpg(3, 80, 60, 10, True)
+        calls = Counter()
+        for name in ("hv_contacts", "shared_edge_pairs"):
+            def counted(*args, _real=getattr(geometry, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(geometry, name, counted)
+        approx_mds_one_string(rep, NetParams(rng_seed=1))
+        assert calls == {"hv_contacts": 1, "shared_edge_pairs": 2}
+        assert build_graph(rep).edges() and is_one_string(rep)
+        build_set_system(rep)
+        assert calls == {"hv_contacts": 1, "shared_edge_pairs": 2}
 
     def test_refuses_touching_contact(self, monkeypatch):
         # a's vertical arm has zero length and its corner lies on b's

@@ -23,6 +23,7 @@ from gridpaths.geometry import (
 from gridpaths.mds_epg import check_non_containment
 from gridpaths.mds_vpg import (
     NetParams,
+    _refuse_touching,
     approx_mds_one_string,
     build_cross,
     build_set_system,
@@ -31,6 +32,8 @@ from gridpaths.mds_vpg import (
 from gridpaths.reduction import reduce_vc_to_mds
 
 from conftest import (
+    all_points,
+    contact_sets,
     h_points,
     hand_vpg_adjacent,
     pairwise_edges,
@@ -38,6 +41,7 @@ from conftest import (
     pairwise_one_string,
     pairwise_sets,
     pairwise_shared_edges,
+    touching_refusal,
     v_points,
 )
 
@@ -62,6 +66,28 @@ def path_lists(draw, max_size=14):
         cx = draw(near if crowd == "column" else coord)
         cy = draw(near if crowd == "row" else coord)
         paths.append(P(f"p{i}", cx, cy, cx + draw(arm), cy + draw(arm)))
+    return paths
+
+
+@st.composite
+def contact_lists(draw):
+    """`path_lists` plus paths pinned to earlier ones: a corner or a tip on
+    an earlier path's corner, tip or any other of its grid points, so
+    shared corners and tips on other paths are common."""
+    paths = draw(path_lists())
+    arm = st.integers(-4, 4)
+    for k in range(draw(st.integers(0, 6)) if paths else 0):
+        base = draw(st.sampled_from(paths))
+        x, y = draw(st.sampled_from(
+            [base.corner, base.h_tip, base.v_tip, *sorted(all_points(base))]
+        ))
+        pinned = draw(st.sampled_from(["corner", "h_tip", "v_tip"]))
+        if pinned == "corner":
+            paths.append(P(f"q{k}", x, y, x + draw(arm), y + draw(arm)))
+        elif pinned == "h_tip":
+            paths.append(P(f"q{k}", x - draw(arm), y, x, y + draw(arm)))
+        else:
+            paths.append(P(f"q{k}", x, y - draw(arm), x + draw(arm), y))
     return paths
 
 
@@ -148,6 +174,24 @@ def test_one_string_matches_pairwise(paths):
 def test_set_system_matches_pairwise(paths):
     rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
     assert build_set_system(rep).sets == pairwise_sets(rep)
+
+
+@PROPERTY
+@given(contact_lists())
+def test_sets_from_crossings_match_contact_tests(paths):
+    """Filling proper crossings untested gives the sets, and so the touching
+    refusal, that testing all four supports of every contact pair gives."""
+    rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
+    system = build_set_system(rep)
+    reference = contact_sets(rep)
+    assert system.sets == reference
+    refused = touching_refusal(rep, reference)
+    if refused is None:
+        _refuse_touching(system)
+    else:
+        with pytest.raises(GeneralPositionViolation) as info:
+            _refuse_touching(system)
+        assert str(info.value).startswith("paths {} and {} only touch".format(*refused))
 
 
 @PROPERTY

@@ -8,19 +8,30 @@ Usage, from the repository root:
 Each run draws one-string instances at n = 1000, 3000 and 10000 with the
 benchmark's own generator, `benchmark/gen.vpg_one_string(random.Random(1),
 n, 2n, n // 5)`, and times the library calls `build_graph`, `is_one_string`
-and `build_set_system` on each.  At the same sizes it times EPG
-`build_graph` on `benchmark/gen.epg_double_crossing(random.Random(1), n,
-n // 3, 4)`, the epg-mix workload's double-crossing family.  Times are raw
-wall time: the minimum of seven calls (three before the EPG rows were
-added; each run records its count), or a single call when the first takes
-over ten seconds.  The run is merged into BENCH_scale.json under its label,
-so two source trees measured in turn on one machine sit side by side.  The
-gridpaths package is imported from PYTHONPATH if set there, otherwise from
-this repository's src/.
+and `build_set_system` on each, then the solver `approx_mds_one_string`
+with net seed 1, and its `bg_hitting_set` alone on a built set system.  At
+the same sizes it times EPG `build_graph` on
+`benchmark/gen.epg_double_crossing(random.Random(1), n, n // 3, 4)`, the
+epg-mix workload's double-crossing family.
+
+Every graph-layer call and every solve gets a freshly parsed
+representation, so a representation's kept contacts never carry over from
+one timed call to the next.  A full garbage collection runs untimed before
+each call, so a call pays for the collections its own allocations trigger
+but not for garbage an earlier measurement left (runs record this as
+gc_collect; earlier runs did not collect).  Times are raw wall time: the
+minimum of seven calls (three before the EPG rows were added, and three for
+the solver rows; each run records its counts), or a single call when the
+first takes over ten seconds.  The run is merged into BENCH_scale.json
+under its label, so two source trees measured in turn on one machine sit
+side by side.  The gridpaths package is imported from PYTHONPATH if set
+there, otherwise from this repository's src/.
 """
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import json
 import os
 import platform
@@ -36,11 +47,18 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 import gen  # noqa: E402
 from gridpaths.geometry import build_graph, is_one_string  # noqa: E402
 from gridpaths.instance_io import parse_instance  # noqa: E402
-from gridpaths.mds_vpg import build_set_system  # noqa: E402
+from gridpaths.mds_vpg import (  # noqa: E402
+    NetParams,
+    approx_mds_one_string,
+    bg_hitting_set,
+    build_set_system,
+)
 
 SIZES = (1000, 3000, 10000)
 SEED = 1
 REPEATS = 7
+SOLVER_REPEATS = 3
+NET_SEED = 1
 SINGLE_RUN_S = 10.0
 OUTPUT = ROOT / "BENCH_scale.json"
 
@@ -56,11 +74,15 @@ def _cpu() -> str:
     return platform.processor() or platform.machine()
 
 
-def _time(call, rep) -> tuple[float, object]:
+def _time(call, make, repeats=REPEATS) -> tuple[float, object]:
+    """Min wall ms of call(make()) over repeats calls; make() and a full
+    garbage collection run untimed before each call."""
     best = None
-    for _ in range(REPEATS):
+    for _ in range(repeats):
+        arg = make()
+        gc.collect()
         start = time.perf_counter()
-        out = call(rep)
+        out = call(arg)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
         if elapsed > SINGLE_RUN_S:
@@ -69,14 +91,21 @@ def _time(call, rep) -> tuple[float, object]:
 
 
 def measure(n: int, seed: int) -> dict:
-    paths = gen.vpg_one_string(random.Random(seed), n, 2 * n, n // 5)
-    rep = parse_instance(gen.instance_text("vpg", paths)).rep
+    text = gen.instance_text("vpg", gen.vpg_one_string(random.Random(seed), n, 2 * n, n // 5))
+
+    def rep():
+        return parse_instance(text).rep
+
+    params = NetParams(rng_seed=NET_SEED)
     graph_ms, graph = _time(build_graph, rep)
     check_ms, one_string = _time(is_one_string, rep)
     system_ms, system = _time(build_set_system, rep)
-    epg_paths = gen.epg_double_crossing(random.Random(seed), n, n // 3, 4)
-    epg_rep = parse_instance(gen.instance_text("epg", epg_paths)).rep
-    epg_ms, epg_graph = _time(build_graph, epg_rep)
+    mds_ms, mds = _time(lambda r: approx_mds_one_string(r, params), rep, SOLVER_REPEATS)
+    hitting_ms, hitting = _time(
+        lambda s: bg_hitting_set(s, params), lambda: system, SOLVER_REPEATS
+    )
+    epg_text = gen.instance_text("epg", gen.epg_double_crossing(random.Random(seed), n, n // 3, 4))
+    epg_ms, epg_graph = _time(build_graph, lambda: parse_instance(epg_text).rep)
     return {
         "n": n,
         "seed": seed,
@@ -86,6 +115,12 @@ def measure(n: int, seed: int) -> dict:
         "build_graph_ms": round(graph_ms, 2),
         "is_one_string_ms": round(check_ms, 2),
         "build_set_system_ms": round(system_ms, 2),
+        "mds_size": len(mds),
+        "mds_digest": hashlib.sha256(" ".join(sorted(mds)).encode()).hexdigest()[:16],
+        "approx_mds_one_string_ms": round(mds_ms, 2),
+        "hitting_set_size": len(hitting),
+        "bg_hitting_set_ms": round(hitting_ms, 2),
+        "bg_hitting_set_share": round(hitting_ms / mds_ms, 3),
         "epg_dc_edges": len(epg_graph.edges()),
         "epg_dc_build_graph_ms": round(epg_ms, 2),
     }
@@ -94,10 +129,12 @@ def measure(n: int, seed: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the measured tree")
+    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES,
+                        help="path counts (default: %(default)s)")
     args = parser.parse_args()
 
     rows = []
-    for n in SIZES:
+    for n in args.sizes:
         rows.append(measure(n, SEED))
         print(json.dumps(rows[-1]), file=sys.stderr)
 
@@ -106,8 +143,9 @@ def main() -> int:
         "Raw wall-time ms of library calls on benchmark/gen.vpg_one_string("
         "random.Random(seed), n, 2n, n // 5), and epg_dc_* of EPG build_graph on "
         "benchmark/gen.epg_double_crossing(random.Random(seed), n, n // 3, 4); "
-        "min of provenance.repeats calls, or one call when it takes over 10 s. "
-        "Written by tools/bench_scale.py."
+        "min of provenance.repeats calls (solver rows: solver_repeats, net seed "
+        "net_seed; bg_hitting_set_share is its time over the solve's), or one "
+        "call when it takes over 10 s. Written by tools/bench_scale.py."
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": {
@@ -116,6 +154,9 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "seed": SEED,
             "repeats": REPEATS,
+            "solver_repeats": SOLVER_REPEATS,
+            "net_seed": NET_SEED,
+            "gc_collect": True,
         },
         "results": rows,
     }
