@@ -438,10 +438,6 @@ def shared_edge_pairs(paths: Sequence[GridPath], vertical: bool) -> Iterator[tup
                 yield i, j
 
 
-def _unordered(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    return {(i, j) if i < j else (j, i) for i, j in pairs}
-
-
 def build_graph(rep: Representation) -> IntersectionGraph:
     """Derive the intersection graph without scanning all pairs.
 
@@ -462,14 +458,13 @@ def build_graph(rep: Representation) -> IntersectionGraph:
     pairs = chain(rows, cols)
     # A pair comes twice only when it shares a row edge and a column edge,
     # and so its corner, which EPG mode refuses above, or when it crosses
-    # properly both ways.
+    # properly both ways.  One-string input has neither, so it skips the
+    # per-vertex merge.
     merge = False
     if rep.mode is Mode.VPG:
         proper, _, crosses_twice = rep._contacts
         pairs = chain(pairs, proper)
-        merge = crosses_twice or bool(
-            rows and cols and not _unordered(rows).isdisjoint(_unordered(cols))
-        )
+        merge = crosses_twice or bool(rows and cols)
     ids = [p.id for p in paths]
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = [0] * len(ids)

@@ -11,8 +11,8 @@ light set it misses has its weight doubled in that one pass, so a solve
 draws a handful of nets per guess rather than one per doubling.  A set is
 heavy for an eps-net when its weighted mass reaches eps times the total;
 with eps = p/q that is tested as mass * q >= p * total, exactly and in
-integers.  The loop keeps every set's mass, whole and per axis, as it
-doubles weights, so a net reads the masses instead of re-summing them.
+integers.  The loop keeps every set's mass per axis as it doubles
+weights, so a net reads the masses instead of re-summing them.
 
 The sets come from the representation's kept contacts, swept once with the
 graph and the one-string check: where path i's horizontal part properly
@@ -117,9 +117,10 @@ class SetSystem:
     axis_elements, axis_sets (each set restricted to an axis's elements) and
     element_sets (per element, the ascending indices of the sets holding it)
     are derived from sets at construction, each element's axis from its
-    parity; they do not depend on the weights.  A net called without masses
-    sums them from the weights afresh; bg_hitting_set keeps them as it
-    doubles weights and passes them in.
+    parity, so universe must follow that layout; a universe that does not
+    raises ValueError.  The derived lists do not depend on the weights.  A
+    net called without masses sums them from the weights afresh;
+    bg_hitting_set keeps them as it doubles weights and passes them in.
     """
 
     universe: list[Segment]
@@ -132,6 +133,9 @@ class SetSystem:
     element_sets: list[list[int]] = field(init=False)
 
     def __post_init__(self):
+        for e, segment in enumerate(self.universe):
+            if segment.axis is not _AXES[e & 1]:
+                raise ValueError(f"element {e} is not on axis {_AXES[e & 1].value}")
         self.element_sets = [[] for _ in self.universe]
         for idx, members in enumerate(self.sets):
             for e in members:
@@ -371,16 +375,17 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
     so these sets were light when it was drawn.  Each counts one doubling
     against the guess's budget, and each still light against the current
     masses (earlier doublings of the pass can make a set heavy) doubles its
-    elements' weights.  The per-set masses and the total, whole and per
-    axis, are kept incrementally, so a doubling touches only the sets
-    holding the doubled elements and a net's heavy-set test costs
-    O(sets).  Light sets can only double a bounded number of times
-    before the guess is provably too small, at which point r doubles.  Once
-    r reaches the universe size every set qualifies for the nets, so
-    termination is guaranteed.  A round draws the combined net up to
-    _NET_ATTEMPTS times; when every draw raises NetFailure it falls back to
-    the exhaustive net (the whole universe).  Redundant elements are pruned
-    from the verified answer before returning.
+    elements' weights.  The per-set masses and the total are kept per axis
+    and incrementally (a set's whole mass is the sum of its two axis
+    masses), so a doubling touches only the sets holding the doubled
+    elements and a net's heavy-set test costs O(sets).  Light sets can
+    only double a bounded number of times before the guess is provably
+    too small, at which point r doubles.  Once r reaches the universe
+    size every set qualifies for the nets, so termination is guaranteed.
+    A round draws the combined net up to _NET_ATTEMPTS times; when every
+    draw raises NetFailure it falls back to the exhaustive net (the whole
+    universe).  Redundant elements are pruned from the verified answer
+    before returning.
     """
     n_elems = len(system.universe)
     if n_elems == 0:
@@ -390,8 +395,6 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
     r = 1
     while True:
         weights[:] = [1] * n_elems
-        masses = [len(members) for members in sets]
-        total = n_elems
         axis_masses = [list(map(len, system.axis_sets[axis])) for axis in _AXES]
         axis_totals = [len(system.axis_elements[axis]) for axis in _AXES]
         budget = max(1, math.ceil(4 * r * math.log2(n_elems / r + 2)))
@@ -416,15 +419,14 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
                 if not net.isdisjoint(members):
                     continue
                 doublings += 1
-                if 2 * r * masses[idx] <= total:
+                mass = axis_masses[0][idx] + axis_masses[1][idx]
+                if 2 * r * mass <= axis_totals[0] + axis_totals[1]:
                     for e in members:
                         w = weights[e]
                         weights[e] = 2 * w
-                        total += w
                         axis_totals[e & 1] += w
                         on_axis = axis_masses[e & 1]
                         for s in element_sets[e]:
-                            masses[s] += w
                             on_axis[s] += w
         r *= 2
 

@@ -178,6 +178,18 @@ class TestBuildSetSystem:
         with pytest.raises(NotOneString):
             build_set_system(rep)
 
+    def test_rejects_universe_off_the_parity_layout(self):
+        # The derived axis lists take each element's axis from its parity.
+        system = build_set_system(Representation(Mode.VPG, (P("a", 0, 0, 3, 3),)))
+        with pytest.raises(ValueError, match="axis"):
+            mds_vpg.SetSystem(
+                universe=system.universe[::-1],
+                sets=system.sets,
+                weights=system.weights,
+                path_ids=system.path_ids,
+                graph=system.graph,
+            )
+
     def test_same_axis_supports_never_share_an_edge(self):
         # On one-string inputs, distinct paths' same-axis supports overlap in
         # at most a point, so horizontal elements only ever hit vertical

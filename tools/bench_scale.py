@@ -129,12 +129,10 @@ def measure(n: int, seed: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the measured tree")
-    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES,
-                        help="path counts (default: %(default)s)")
     args = parser.parse_args()
 
     rows = []
-    for n in args.sizes:
+    for n in SIZES:
         rows.append(measure(n, SEED))
         print(json.dumps(rows[-1]), file=sys.stderr)
 
