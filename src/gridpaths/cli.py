@@ -65,15 +65,18 @@ def _cmd_gen_graph(args) -> int:
     return 0
 
 
+def _approximate(problem: str, rep: Representation, seed: int) -> set[str]:
+    """The approximation `solve` and `bench` run; seed is mds-vpg's net seed."""
+    if problem == "mis":
+        return mis.approx_mis(rep)
+    if problem == "mds-vpg":
+        return mds_vpg.approx_mds_one_string(rep, NetParams(rng_seed=seed))
+    return mds_epg.greedy_line_mds(rep)
+
+
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
-    if args.problem == "mis":
-        ids = mis.approx_mis(inst.rep)
-    elif args.problem == "mds-vpg":
-        ids = mds_vpg.approx_mds_one_string(inst.rep, NetParams(rng_seed=args.seed))
-    else:
-        ids = mds_epg.greedy_line_mds(inst.rep)
-    _write_out(args, _id_lines(ids))
+    _write_out(args, _id_lines(_approximate(args.problem, inst.rep, args.seed)))
     return 0
 
 
@@ -180,12 +183,7 @@ def _cmd_bench(args) -> int:
         for seed in range(args.seeds):
             rep = _bench_instance(args.family, n, seed)
             start = time.perf_counter()
-            if args.algo == "mis":
-                solution = mis.approx_mis(rep)
-            elif args.algo == "mds-vpg":
-                solution = mds_vpg.approx_mds_one_string(rep, NetParams(rng_seed=seed))
-            else:
-                solution = mds_epg.greedy_line_mds(rep)
+            solution = _approximate(args.algo, rep, seed)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             size = len(solution)
             opt = ""
@@ -249,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gen_graph)
 
     p = sub.add_parser("solve", help="run an approximation algorithm")
-    p.add_argument("problem", choices=("mis", "mds-vpg", "mds-epg"))
+    p.add_argument("problem", choices=tuple(_FAMILY_FOR_ALGO))
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="net sampling seed (mds-vpg only)")
@@ -290,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("vpg-one-string", "epg-double-crossing",
                             "epg-vertical-crossing"),
                    required=True)
-    p.add_argument("--algo", choices=("mis", "mds-vpg", "mds-epg"), required=True)
+    p.add_argument("--algo", choices=tuple(_FAMILY_FOR_ALGO), required=True)
     p.add_argument("--sizes", required=True, help="inclusive range LO:HI")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--csv")

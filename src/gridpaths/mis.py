@@ -9,6 +9,10 @@ more paths than the two-sided answer, since otherwise it cannot win; so the
 exact solver's size cap (`TooLarge`) applies only to strips that could win.
 Running it once per bend type and keeping the best result costs another
 factor four in the guarantee.
+
+The recursion runs on the paths as given, with the LL frame's answers: the
+split reads only x and reflections keep adjacency, so mirroring y does not
+matter, and the x-mirrored types (UR and LR) split at the upper median.
 """
 from __future__ import annotations
 
@@ -29,13 +33,8 @@ from .geometry import (
 
 _BUCKET_ORDER = (PathType.LL, PathType.UL, PathType.UR, PathType.LR)
 
-# Reflection signs that carry each bend type into the LL frame.
-_REFLECT = {
-    PathType.LL: (1, 1),
-    PathType.UL: (1, -1),
-    PathType.LR: (-1, 1),
-    PathType.UR: (-1, -1),
-}
+# Bend types whose horizontal arm points left, the x-mirrors of LL and UL.
+_MIRRORED_X = (PathType.UR, PathType.LR)
 
 
 def split_by_type(rep: Representation) -> dict[PathType, list[GridPath]]:
@@ -50,10 +49,15 @@ def split_by_type(rep: Representation) -> dict[PathType, list[GridPath]]:
 
 def compute_xmed(paths: Sequence[GridPath]) -> Fraction:
     """Midpoint of the two middle corner x-coordinates, as an exact rational."""
+    return _median_x(paths, upper=False)
+
+
+def _median_x(paths: Sequence[GridPath], upper: bool) -> Fraction:
+    """`compute_xmed`, or with upper the same taken in descending order."""
     if len(paths) < 2:
         raise TooFewPaths("median split needs at least two paths")
     xs = sorted(p.corner.x for p in paths)
-    k = len(xs) // 2
+    k = (len(xs) + upper) // 2
     return Fraction(xs[k - 1] + xs[k], 2)
 
 
@@ -81,11 +85,6 @@ def partition_LMR(
         else:
             middle.append(p)
     return left, middle, right
-
-
-def _reflect(path: GridPath, sx: int, sy: int) -> GridPath:
-    (cx, cy), hx, vy = path.corner, path.h_tip.x, path.v_tip.y
-    return GridPath.make(path.id, sx * cx, sy * cy, sx * hx, sy * vy)
 
 
 def _exact_mis(paths: Sequence[GridPath]) -> set[str]:
@@ -121,16 +120,18 @@ def approx_mis_single_type(paths: Sequence[GridPath]) -> set[str]:
 
 
 def _approx_mis_of_type(paths: list[GridPath], kind: PathType) -> set[str]:
-    """`approx_mis_single_type` on paths already known to be of one type."""
-    sx, sy = _REFLECT[kind]
-    frame = paths if (sx, sy) == (1, 1) else [_reflect(p, sx, sy) for p in paths]
+    """`approx_mis_single_type` on paths already known to be of one type, in
+    the input frame: x-mirrored types split at the upper median, the LL
+    frame's lower median mapped back, and mirroring y does not matter."""
+    upper = kind in _MIRRORED_X
 
     def solve(group: Sequence[GridPath]) -> set[str]:
         if len(group) <= 2:
             return _base_case(group)
-        xmed = compute_xmed(group)
-        # At most n // 2 corners lie left of xmed and n - n // 2 right of it,
-        # so both recursive groups are smaller than the group.
+        xmed = _median_x(group, upper)
+        # Only corners left of xmed go left and only corners right of it go
+        # right: at most n // 2 and n - n // 2 at the lower median, and
+        # n - n // 2 and n // 2 at the upper one.
         left, middle, right = partition_LMR(group, xmed)
         side = solve(left) | solve(right)
         # The strip's answer has at most len(middle) paths, and equality
@@ -140,7 +141,7 @@ def _approx_mis_of_type(paths: list[GridPath], kind: PathType) -> set[str]:
         central = _exact_mis(middle)
         return side if len(side) >= len(central) else central
 
-    return solve(frame)
+    return solve(paths)
 
 
 def approx_mis(rep: Representation) -> set[str]:

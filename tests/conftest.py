@@ -7,8 +7,10 @@ code that shares none of its logic.
 """
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 from gridpaths.exact import brute_mis
 from gridpaths.geometry import (
@@ -25,6 +27,15 @@ from gridpaths.geometry import (
 )
 from gridpaths.mds_vpg import build_cross, segments_intersect
 from gridpaths.reduction import SimpleGraph
+
+
+def benchmark_gen():
+    """The benchmark's stdlib-only instance generators, loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
+    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def h_points(p: GridPath) -> set[tuple[int, int]]:

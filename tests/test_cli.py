@@ -272,6 +272,21 @@ class TestBench:
             assert parts[4] != ""  # opt within the oracle cap
             assert float(parts[5]) >= 1.0
 
+    def test_mds_vpg_rows_match_solve(self, tmp_path, capsys):
+        # A row's net seed is its instance seed, as `solve mds-vpg --seed`.
+        assert run(["bench", "--family", "vpg-one-string", "--algo", "mds-vpg",
+                    "--sizes", "12:13", "--seeds", "2"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            instance_id, n, _, size = row.split(",")[:4]
+            seed = str(int(instance_id.rsplit("-s", 1)[1]))
+            inst = tmp_path / f"{instance_id}.txt"
+            assert run(["gen-vpg", "--n", n, "--seed", seed, "--one-string",
+                        "--output", str(inst)]) == 0
+            assert run(["solve", "mds-vpg", "--input", str(inst), "--seed", seed]) == 0
+            assert int(size) == len(capsys.readouterr().out.split())
+
     def test_family_algo_mismatch(self):
         assert run(["bench", "--family", "vpg-one-string", "--algo", "mds-epg",
                     "--sizes", "4:4", "--seeds", "1"]) == 2

@@ -1,7 +1,5 @@
 """Geometry core: path anatomy, adjacency tests, graph derivation."""
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,7 @@ from gridpaths.geometry import (
 
 from gridpaths.mds_epg import greedy_line_mds, order_paths
 
-from conftest import hand_crossings, hand_vpg_adjacent, pairwise_edges, pairwise_graph
+from conftest import benchmark_gen, hand_crossings, hand_vpg_adjacent, pairwise_edges, pairwise_graph
 
 
 def P(pid, cx, cy, hx, vy):
@@ -451,15 +449,6 @@ class TestPublicConstructor:
 
 # ------------------------------------------- metamorphic checks at scale
 
-def _benchmark_gen():
-    """The benchmark's stdlib-only instance generators, loaded by file path."""
-    path = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
-    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _grid_maps():
     """The 7 symmetries of the grid other than the identity, a translation,
     and the scalings x -> 2x and x -> 3x + 1 of both coordinates, as maps of
@@ -485,7 +474,7 @@ def test_edges_invariant_under_grid_maps(family):
     references cannot reach: every grid map keeps the edge set.  Most of the
     time goes to drawing the one-string instance, which checks each new path
     against all placed ones."""
-    gen = _benchmark_gen()
+    gen = benchmark_gen()
     rng = random.Random(1)
     if family == "one-string n3000":
         mode, paths = Mode.VPG, gen.vpg_one_string(rng, 3000, 6000, 600)

@@ -26,7 +26,7 @@ from gridpaths.mis import (
     split_by_type,
 )
 
-from conftest import exhaustive_max_independent, reference_mis_single_type
+from conftest import benchmark_gen, exhaustive_max_independent, reference_mis_single_type
 
 
 def P(pid, cx, cy, hx, vy):
@@ -135,7 +135,7 @@ class TestPartitionLMR:
 
 @st.composite
 def single_type_paths(draw):
-    """n >= 2 LL paths (the frame the recursion works in) with arms of
+    """n >= 2 LL paths (the frame of the lower median) with arms of
     length 0-4, their corners on few columns so that many share one."""
     column = st.integers(0, draw(st.integers(0, 6)))
     arm = st.integers(0, 4)
@@ -228,6 +228,14 @@ class TestApproxMisSingleType:
                 sizes.add(len(approx_mis_single_type(paths)))
             assert len(sizes) == 1
 
+    def test_x_mirrored_type_splits_at_upper_median(self):
+        # LR corners at x = 2, 3, 4: the LL frame's lower median is -7/2, so
+        # the line is x = 7/2, which only p1 meets.  The lower median in
+        # input coordinates, x = 5/2, is met by p0 and p1 and gives {p1, p2}.
+        paths = [P("p0", 2, 4, -1, 6), P("p1", 3, 2, 1, 6), P("p2", 4, 0, 1, 4)]
+        assert approx_mis_single_type(paths) == {"p0", "p1"}
+        assert reference_mis_single_type(paths) == {"p0", "p1"}
+
 
 class TestStripRefusal:
     def test_strip_that_cannot_win_is_not_solved(self, monkeypatch):
@@ -256,6 +264,21 @@ class TestStripRefusal:
 class TestApproxMis:
     def test_empty(self):
         assert approx_mis(Representation(Mode.VPG, ())) == set()
+
+    def test_builds_no_path(self, monkeypatch):
+        # The recursion reads the paths as given; it makes no reflected copy.
+        paths = benchmark_gen().vpg_mixed(random.Random(2), 200, 200, 31)
+        rep = Representation(Mode.VPG, tuple(P(*p) for p in paths))
+        built = []
+        post_init = GridPath.__post_init__
+
+        def counting(path):
+            built.append(path.id)
+            post_init(path)
+
+        monkeypatch.setattr(GridPath, "__post_init__", counting)
+        assert approx_mis(rep)
+        assert built == []
 
     def test_disjoint_mixed_types(self):
         paths = []

@@ -12,7 +12,9 @@ and `build_set_system` on each, then the solver `approx_mds_one_string`
 with net seed 1, and its `bg_hitting_set` alone on a built set system.  At
 the same sizes it times EPG `build_graph` on
 `benchmark/gen.epg_double_crossing(random.Random(1), n, n // 3, 4)`, the
-epg-mix workload's double-crossing family.
+epg-mix workload's double-crossing family, and `approx_mis` on
+`benchmark/gen.vpg_mixed(random.Random(1), n, n, round(2.2 * n ** 0.5))`,
+whose answer size is recorded, or its `TooLarge` refusal as the result.
 
 Every graph-layer call and every solve gets a freshly parsed
 representation, so a representation's kept contacts never carry over from
@@ -45,6 +47,7 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which can name another t
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 import gen  # noqa: E402
+from gridpaths.errors import TooLarge  # noqa: E402
 from gridpaths.geometry import build_graph, is_one_string  # noqa: E402
 from gridpaths.instance_io import parse_instance  # noqa: E402
 from gridpaths.mds_vpg import (  # noqa: E402
@@ -53,6 +56,7 @@ from gridpaths.mds_vpg import (  # noqa: E402
     bg_hitting_set,
     build_set_system,
 )
+from gridpaths.mis import approx_mis  # noqa: E402
 
 SIZES = (1000, 3000, 10000)
 SEED = 1
@@ -90,6 +94,17 @@ def _time(call, make, repeats=REPEATS) -> tuple[float, object]:
     return best * 1000.0, out
 
 
+def _mis_or_refusal(rep) -> set[str] | TooLarge:
+    try:
+        return approx_mis(rep)
+    except TooLarge as exc:
+        return exc
+
+
+def _digest(ids) -> str:
+    return hashlib.sha256(" ".join(sorted(ids)).encode()).hexdigest()[:16]
+
+
 def measure(n: int, seed: int) -> dict:
     text = gen.instance_text("vpg", gen.vpg_one_string(random.Random(seed), n, 2 * n, n // 5))
 
@@ -106,6 +121,10 @@ def measure(n: int, seed: int) -> dict:
     )
     epg_text = gen.instance_text("epg", gen.epg_double_crossing(random.Random(seed), n, n // 3, 4))
     epg_ms, epg_graph = _time(build_graph, lambda: parse_instance(epg_text).rep)
+    mixed = gen.vpg_mixed(random.Random(seed), n, n, round(2.2 * n ** 0.5))
+    mixed_text = gen.instance_text("vpg", mixed)
+    mis_ms, mis = _time(_mis_or_refusal, lambda: parse_instance(mixed_text).rep, SOLVER_REPEATS)
+    refused = isinstance(mis, TooLarge)
     return {
         "n": n,
         "seed": seed,
@@ -116,13 +135,16 @@ def measure(n: int, seed: int) -> dict:
         "is_one_string_ms": round(check_ms, 2),
         "build_set_system_ms": round(system_ms, 2),
         "mds_size": len(mds),
-        "mds_digest": hashlib.sha256(" ".join(sorted(mds)).encode()).hexdigest()[:16],
+        "mds_digest": _digest(mds),
         "approx_mds_one_string_ms": round(mds_ms, 2),
         "hitting_set_size": len(hitting),
         "bg_hitting_set_ms": round(hitting_ms, 2),
         "bg_hitting_set_share": round(hitting_ms / mds_ms, 3),
         "epg_dc_edges": len(epg_graph.edges()),
         "epg_dc_build_graph_ms": round(epg_ms, 2),
+        "mis_size": f"TooLarge: {mis}" if refused else len(mis),
+        "mis_digest": None if refused else _digest(mis),
+        "approx_mis_ms": round(mis_ms, 2),
     }
 
 
@@ -140,7 +162,9 @@ def main() -> int:
     doc["about"] = (
         "Raw wall-time ms of library calls on benchmark/gen.vpg_one_string("
         "random.Random(seed), n, 2n, n // 5), and epg_dc_* of EPG build_graph on "
-        "benchmark/gen.epg_double_crossing(random.Random(seed), n, n // 3, 4); "
+        "benchmark/gen.epg_double_crossing(random.Random(seed), n, n // 3, 4), and "
+        "approx_mis_ms of approx_mis on benchmark/gen.vpg_mixed(random.Random(seed), "
+        "n, n, round(2.2 * n ** 0.5)) (mis_size: answer size, or the TooLarge refusal); "
         "min of provenance.repeats calls (solver rows: solver_repeats, net seed "
         "net_seed; bg_hitting_set_share is its time over the solve's), or one "
         "call when it takes over 10 s. Written by tools/bench_scale.py."
