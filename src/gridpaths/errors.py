@@ -10,9 +10,8 @@ class WrongMode(GridPathsError):
 
 
 class GeneralPositionViolation(GridPathsError):
-    """Two paths share a corner point where weak general position is required,
-    or, in the one-string dominating-set pipeline, two paths only touch while
-    their crosses meet (a zero-length arm leaves a corner on the other path)."""
+    """Two EPG paths share a corner point where weak general position is
+    required."""
 
 
 class UnknownId(GridPathsError):

@@ -79,9 +79,9 @@ class Representation:
 
     The index pairs that graph building, the one-string check and the
     dominating-set pipeline read (shared row and column edges, and the
-    horizontal-vertical contacts split into proper crossings and touching
-    contacts) are swept at most once per representation, on first use, and
-    kept with it.  They are not fields, so equality and hashing ignore them.
+    proper crossings among the horizontal-vertical contacts) are swept at
+    most once per representation, on first use, and kept with it.  They are
+    not fields, so equality and hashing ignore them.
     """
 
     mode: Mode
@@ -108,20 +108,16 @@ class Representation:
         return list(shared_edge_pairs(paths, False)), list(shared_edge_pairs(paths, True))
 
     @cached_property
-    def _contacts(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], bool]:
-        """The `hv_contacts` pairs (i, j), split into those where path i's
-        horizontal part properly crosses path j's vertical part and the
-        touching rest, and whether some pair crosses properly both ways."""
+    def _contacts(self) -> tuple[list[tuple[int, int]], bool]:
+        """The `hv_contacts` pairs (i, j) where path i's horizontal part
+        properly crosses path j's vertical part, and whether some pair
+        crosses properly both ways.  Touching contacts are dropped."""
         paths = self.paths
-        proper: list[tuple[int, int]] = []
-        touching: list[tuple[int, int]] = []
-        for i, j in hv_contacts(paths):
-            if _proper_cross(paths[i], paths[j]) is None:
-                touching.append((i, j))
-            else:
-                proper.append((i, j))
+        proper = [
+            (i, j) for i, j in hv_contacts(paths) if _proper_cross(paths[i], paths[j]) is not None
+        ]
         crossed = set(proper)
-        return proper, touching, any((j, i) in crossed for i, j in proper)
+        return proper, any((j, i) in crossed for i, j in proper)
 
 
 class IntersectionGraph:
@@ -462,7 +458,7 @@ def build_graph(rep: Representation) -> IntersectionGraph:
     # per-vertex merge.
     merge = False
     if rep.mode is Mode.VPG:
-        proper, _, crosses_twice = rep._contacts
+        proper, crosses_twice = rep._contacts
         pairs = chain(pairs, proper)
         merge = crosses_twice or bool(rows and cols)
     ids = [p.id for p in paths]
@@ -480,7 +476,7 @@ def is_one_string(rep: Representation) -> bool:
     if rep.mode is not Mode.VPG:
         raise WrongMode("one-string applies to VPG representations")
     rows, cols = rep._shared_edges
-    return not rows and not cols and not rep._contacts[2]
+    return not rows and not cols and not rep._contacts[1]
 
 
 def split_neighbors(rep: Representation, path_id: str) -> tuple[set[str], set[str]]:

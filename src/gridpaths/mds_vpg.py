@@ -1,34 +1,42 @@
 """Dominating sets on one-string B1-VPG representations via hitting sets.
 
-Every path gets a cross of two supporting segments, slightly offset so
-that two crosses intersect exactly when the underlying paths properly cross:
-the corner ends stick out a quarter grid unit past the corner and the tip
-ends are pulled back three quarters.  Dominating sets translate to hitting
-sets over the supporting segments and back, and the hitting set itself is
-approximated by weighted epsilon-net sampling inside an iterative-doubling
-loop.  The loop reweights in phases: each net is verified once, and every
-light set it misses has its weight doubled in that one pass, so a solve
-draws a handful of nets per guess rather than one per doubling.  A set is
-heavy for an eps-net when its weighted mass reaches eps times the total;
-with eps = p/q that is tested as mass * q >= p * total, exactly and in
-integers.  The loop keeps every set's mass per axis as it doubles
-weights, so a net reads the masses instead of re-summing them.
+Every path gets a cross of two supporting segments, slightly offset copies
+of its parts: the corner ends stick out a quarter grid unit past the corner
+and the tip ends are pulled back three quarters.  The universe holds the
+2n supports.  Dominating sets translate to hitting sets over the supports
+and back, and the hitting set itself is approximated by weighted
+epsilon-net sampling inside an iterative-doubling loop.  The loop reweights
+in phases: each net is verified once, and every light set it misses has
+its weight doubled in that one pass, so a solve draws a handful of nets
+per guess rather than one per doubling.  A set is heavy for an eps-net
+when its weighted mass reaches eps times the total; with eps = p/q that is
+tested as mass * q >= p * total, exactly and in integers.  The loop keeps
+every set's mass per axis as it doubles weights, so a net reads the masses
+instead of re-summing them.
 
-The sets come from the representation's kept contacts, swept once with the
-graph and the one-string check: where path i's horizontal part properly
-crosses path j's vertical part, set i holds j's vertical support and set j
-holds i's horizontal support, with no segment test.  Only the few touching
-contacts are tested support by support.
+The sets come from the representation's proper crossings, swept once with
+the graph and the one-string check: set i holds i's own two supports and,
+where path i's horizontal part properly crosses path j's vertical part, j's
+vertical support (and set j holds i's horizontal support).  No segment is
+tested.  On every one-string input these sets pair dominating sets with
+hitting sets exactly: every member of set i belongs to a path in i's
+closed neighbourhood, and each neighbour crosses i exactly once, so one of
+its supports is in set i.  Touching contacts (zero-length arms, shared
+corners) add nothing, although the crosses can meet there.
+
+The system is still a segment range space per axis.  With integer
+coordinates, h's horizontal part shrunk by one unit at both ends and v's
+vertical part shrunk the same way (each kept closed, an emptied part
+dropped) meet exactly when h's horizontal part properly crosses v's
+vertical part; `test_shrunk_parts_meet_exactly_at_proper_crossings` in
+tests/test_sweep.py checks this.  So each axis's sets are axis-parallel
+segment intersections, as with the crosses.
 
 The nets are plain weighted samples of 4 (1/eps) ln(1/eps + 2) elements.
 Nets of size O((1/eps) log(1/eps)) certify an O(log OPT) approximation
 factor (Bronnimann and Goodrich, 1995), and that is the factor this module
 guarantees.  The paper's O(1) factor needs nets of size O(1/eps) for this
 set system, which no net finder here provides.
-
-Where a zero-length arm puts a corner on another path's perpendicular part,
-or where two paths share a corner, the two crosses meet although the paths
-only touch; the pipeline refuses such input.
 
 All coordinates in this module are quarter units (public grid coordinates
 times four), which keeps the quarter offsets exact in integers.
@@ -42,7 +50,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import (
-    GeneralPositionViolation,
     NetFailure,
     NotDominating,
     NotHitting,
@@ -192,33 +199,20 @@ def crosses_intersect(a: Cross, b: Cross) -> bool:
 
 
 def build_set_system(rep: Representation) -> SetSystem:
-    """Universe of all 2n supporting segments and, per cross, the set of
-    elements meeting it.  A cross's own two segments belong to its set by
-    definition, regardless of degeneracy.  Two crosses can meet only where
-    their paths share a grid edge or where a horizontal part meets a
-    vertical part (`hv_contacts`); one-string input shares no edge.
+    """Universe of all 2n supporting segments and, per path, the set of its
+    own two supports and a support of every path it properly crosses.
 
-    The contacts are the representation's kept ones, which the one-string
+    The crossings are the representation's kept ones, which the one-string
     check and the graph read too.  Where i's horizontal part properly
-    crosses j's vertical part, the two supports meet there and no other
-    pair of i's and j's supports meets unless j's horizontal part also
-    touches i's vertical part, a contact of its own.  So a proper contact
-    puts 2j + 1 in set i and 2i in set j untested.  Meeting is symmetric,
-    so each touching pair's four segment tests fill both crosses' sets."""
+    crosses j's vertical part, set i holds 2j + 1 and set j holds 2i.  A
+    one-string pair crosses at most once, so no member comes twice."""
     if not is_one_string(rep):
         raise NotOneString("set system requires a one-string representation")
     universe = [s for c in map(build_cross, rep.paths) for s in (c.h_support, c.v_support)]
-    members = [{2 * idx, 2 * idx + 1} for idx in range(len(rep.paths))]
-    proper, touching, _ = rep._contacts
-    for i, j in proper:
-        members[i].add(2 * j + 1)
-        members[j].add(2 * i)
-    for i, k in {(i, k) if i < k else (k, i) for i, k in touching}:
-        for a in (2 * i, 2 * i + 1):
-            for b in (2 * k, 2 * k + 1):
-                if segments_intersect(universe[a], universe[b]):
-                    members[i].add(b)
-                    members[k].add(a)
+    members = [[2 * idx, 2 * idx + 1] for idx in range(len(rep.paths))]
+    for i, j in rep._contacts[0]:
+        members[i].append(2 * j + 1)
+        members[j].append(2 * i)
     return SetSystem(
         universe=universe,
         sets=[sorted(m) for m in members],
@@ -251,7 +245,7 @@ def hs_to_ds(hs: set[int], system: SetSystem) -> set[str]:
             raise UnknownId(f"element index {e}")
     if verify_hitting(system, hs) is not None:
         raise NotHitting("input does not hit every set")
-    return {system.universe[e].owner for e in hs}
+    return {system.path_ids[e // 2] for e in hs}
 
 
 def verify_hitting(system: SetSystem, candidate: set[int]) -> int | None:
@@ -431,35 +425,11 @@ def bg_hitting_set(system: SetSystem, params: NetParams) -> set[int]:
         r *= 2
 
 
-def _refuse_touching(system: SetSystem) -> None:
-    """Raise GeneralPositionViolation unless every set's member owners lie in
-    its path's closed neighbourhood.  A zero-length arm can leave a corner on
-    another path's perpendicular part; the remaining arm's support then
-    overhangs across that part, so the crosses meet although the paths only
-    touch, and a hitting set need not dominate."""
-    graph = system.graph
-    rank = [graph.position[pid] for pid in system.path_ids]
-    mark = [-1] * len(rank)  # mark[r] == k: vertex r is in set k's closed neighbourhood
-    for k, members in enumerate(system.sets):
-        r = rank[k]
-        mark[r] = k
-        for j in graph.index[r]:
-            mark[j] = k
-        for e in members:
-            if mark[rank[e // 2]] != k:  # element e belongs to path e // 2
-                raise GeneralPositionViolation(
-                    f"paths {system.path_ids[k]} and {system.universe[e].owner} "
-                    "only touch, but their crosses meet"
-                )
-
-
 def approx_mds_one_string(rep: Representation, params: NetParams) -> set[str]:
     """Dominating set via the set system, the doubling hitting set, and the
-    owner mapping.  Input where two paths only touch but their crosses meet
-    is refused with GeneralPositionViolation before any net is drawn; the
-    answer is verified to dominate before returning."""
+    owner mapping; total on one-string input.  The answer is verified to
+    dominate before returning."""
     system = build_set_system(rep)
-    _refuse_touching(system)
     hitting = bg_hitting_set(system, params)
     ds = hs_to_ds(hitting, system)
     if not system.graph.is_dominating_set(ds):

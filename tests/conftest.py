@@ -25,7 +25,7 @@ from gridpaths.geometry import (
     hv_contacts,
     vpg_adjacent,
 )
-from gridpaths.mds_vpg import build_cross, segments_intersect
+from gridpaths.mds_vpg import build_cross, crosses_intersect, segments_intersect
 from gridpaths.reduction import SimpleGraph
 
 
@@ -173,8 +173,9 @@ def pairwise_sets(rep: Representation) -> list[list[int]]:
 
 def contact_sets(rep: Representation) -> list[list[int]]:
     """Per cross, its members from all four support tests on every
-    `hv_contacts` pair, proper crossings included: the set-system
-    membership before proper crossings filled it untested."""
+    `hv_contacts` pair, proper crossings and touching contacts alike: the
+    cross-level sets, which the set system's crossing-only sets equal
+    wherever no touching contact makes two crosses meet."""
     universe = [s for c in map(build_cross, rep.paths) for s in (c.h_support, c.v_support)]
     members = [{2 * i, 2 * i + 1} for i in range(len(rep.paths))]
     for i, k in {(i, k) if i < k else (k, i) for i, k in hv_contacts(rep.paths)}:
@@ -186,16 +187,14 @@ def contact_sets(rep: Representation) -> list[list[int]]:
     return [sorted(m) for m in members]
 
 
-def touching_refusal(rep: Representation, sets) -> tuple[str, str] | None:
-    """The first (set's path id, element owner id), scanning the sets and
-    their elements in order, whose owner is another path not adjacent to
-    the set's path by point enumeration; None when there is none."""
-    paths = rep.paths
-    for k, members in enumerate(sets):
-        for e in members:
-            if e // 2 != k and not hand_vpg_adjacent(paths[k], paths[e // 2]):
-                return paths[k].id, paths[e // 2].id
-    return None
+def touching_crosses_meet(rep: Representation) -> bool:
+    """True iff the crosses of two paths meet although the paths are not
+    adjacent by point enumeration: a touching contact through a zero-length
+    arm or a shared corner."""
+    return any(
+        crosses_intersect(build_cross(a), build_cross(b)) and not hand_vpg_adjacent(a, b)
+        for a, b in itertools.combinations(rep.paths, 2)
+    )
 
 
 def pairwise_shared_edges(rep: Representation, vertical: bool) -> list[tuple[str, str]]:

@@ -184,28 +184,36 @@ class TestCliCommands:
         assert run(["solve", "mds-vpg", "--input", str(inst)]) == 1
 
     def test_touching_contact_exit_code(self, tmp_path, capsys):
-        # A zero-length arm puts a's corner on b's vertical part.
+        # A zero-length arm puts a's corner on b's vertical part: the paths
+        # only touch, so neither dominates the other and both are needed.
         inst = tmp_path / "touch.txt"
         inst.write_text("mode vpg\npath a 0 2 -3 2\npath b 0 0 3 4\n", encoding="utf-8")
-        assert run(["solve", "mds-vpg", "--input", str(inst)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: GeneralPositionViolation")
-        assert "Traceback" not in err
+        assert run(["solve", "mds-vpg", "--input", str(inst)]) == 0
+        assert capsys.readouterr() == ("a\nb\n", "")
 
     def test_shared_corner_exit_code(self, tmp_path, capsys):
         # One-string and not adjacent: the paths meet only at the shared
-        # corner (0, 0), but each corner overhang reaches the other's support.
+        # corner (0, 0), where each corner overhang reaches the other's
+        # support; the dominating set needs both.
         inst = tmp_path / "corner.txt"
         inst.write_text("mode vpg\npath a 0 0 3 3\npath b 0 0 -3 -3\n", encoding="utf-8")
         assert run(["verify", "--check", "one-string", "--input", str(inst)]) == 0
         assert capsys.readouterr().out == "one-string: ok\n"
         assert run(["exact", "mis", "--input", str(inst)]) == 0
         assert capsys.readouterr().out.split() == ["a", "b"]  # not adjacent
-        assert run(["solve", "mds-vpg", "--input", str(inst)]) == 1
-        assert capsys.readouterr().err == (
-            "error: GeneralPositionViolation: paths a and b only touch, "
-            "but their crosses meet\n"
-        )
+        assert run(["solve", "mds-vpg", "--input", str(inst)]) == 0
+        assert capsys.readouterr() == ("a\nb\n", "")
+
+    def test_exact_hs_on_shared_corner_dominates(self, tmp_path, capsys):
+        # Each path's set holds its own two supports only, so a minimum
+        # hitting set takes one support of each path, and its owners are
+        # the minimum dominating set {a, b}.
+        inst = tmp_path / "corner.txt"
+        inst.write_text("mode vpg\npath a 0 0 3 3\npath b 0 0 -3 -3\n", encoding="utf-8")
+        assert run(["exact", "hs", "--input", str(inst)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert sorted(line.split()[1] for line in lines) == ["a", "b"]
 
     def test_reused_parser_matches_fresh(self, tmp_path, capsys):
         # The parser is built once per process: usage errors in between leave

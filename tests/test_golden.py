@@ -17,7 +17,11 @@ replaced that test must reproduce it.  The independent-set digest was
 computed while the median split compared coordinates with a `Fraction` and
 every line-meeting strip was solved exactly, whether or not it could beat
 the two sides; the integer comparison and the skipped strips must reproduce
-it.
+it.  The set-system digest was re-pinned when the sets came to be filled
+from proper crossings only: the one-string instances' sets stayed the same,
+and only the degenerate instance's moved, where touching contacts had made
+crosses meet.  The degenerate answers were first pinned then, when the
+pipeline stopped refusing that instance.
 
 The instances are built here, not by the library generators, because those
 are nearly edgeless; each is seeded and dense enough that every path has a
@@ -123,8 +127,9 @@ def gadget(seed, n, m):
 
 ONE_STRING = [dense_vpg(1, 40, 16, 8, True), dense_vpg(2, 80, 24, 10, True),
               dense_vpg(3, 120, 30, 12, True)]
-# Zero-length arms make degenerate crosses; the pipeline is not run on these
-# because touching contacts break the cross/path equivalence.
+# Zero-length arms make degenerate crosses and touching contacts where two
+# crosses meet although the paths are not adjacent; the sets come from proper
+# crossings only, so the pipeline answers these too.
 DEGENERATE = [dense_vpg(10, 60, 20, 8, True, min_arm=0)]
 MIXED_VPG = [dense_vpg(seed, 150, 40, 10, False, min_arm=0) for seed in (4, 5)]
 EPG = [dense_double_crossing(6, 150, 20, 6), dense_double_crossing(7, 300, 25, 10),
@@ -148,9 +153,18 @@ def test_mds_one_string_answers():
     )
 
 
+def test_mds_degenerate_answers():
+    answers = [(rep, approx_mds_one_string(rep, NetParams(rng_seed=seed)))
+               for rep in DEGENERATE for seed in (0, 7)]
+    assert all(build_graph(rep).is_dominating_set(ds) for rep, ds in answers)
+    assert digest([sorted(ds) for _, ds in answers]) == (
+        "6d110d937749629bd1a9d402ba1252e9acafa77b2ff6a7c881529011498c23cf"
+    )
+
+
 def test_set_system_sets():
     assert digest([build_set_system(rep).sets for rep in ONE_STRING + DEGENERATE]) == (
-        "c52ac7bb658538298de2a02d2282e6915bb9d43d0e96586d223025bf6adba3f4"
+        "684cab18315b60f3cc2e070a5daa8bec25ac2b07f64ae8d1e98e0db41759e6ee"
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from gridpaths import geometry, mds_vpg
 from gridpaths.errors import (
-    GeneralPositionViolation,
     NetFailure,
     NotDominating,
     NotHitting,
@@ -512,18 +511,15 @@ class TestPipeline:
         build_set_system(rep)
         assert calls == {"hv_contacts": 1, "shared_edge_pairs": 2}
 
-    def test_refuses_touching_contact(self, monkeypatch):
+    def test_answers_touching_contact(self):
         # a's vertical arm has zero length and its corner lies on b's
         # vertical part: the paths only touch, but a's horizontal support
-        # overhangs a quarter unit across b's, so the crosses meet.
+        # overhangs a quarter unit across b's, so the crosses meet.  The
+        # sets come from proper crossings only, so each holds its own
+        # path's supports and the answer needs both paths.
         a, b = P("a", 0, 2, -3, 2), P("b", 0, 0, 3, 4)
         assert not vpg_adjacent(a, b)
         assert crosses_intersect(build_cross(a), build_cross(b))
-
-        def no_nets(*args):
-            raise AssertionError("a net was drawn")
-
-        monkeypatch.setattr(mds_vpg, "combined_net", no_nets)
         rep = Representation(Mode.VPG, (a, b))
-        with pytest.raises(GeneralPositionViolation, match="paths a and b"):
-            approx_mds_one_string(rep, NetParams())
+        assert build_set_system(rep).sets == [[0, 1], [2, 3]]
+        assert approx_mds_one_string(rep, NetParams()) == {"a", "b"}

@@ -2,19 +2,21 @@
 shared-edge pairs, and graph building, the one-string check, set-system
 membership and the non-containment check built on them, agree with
 all-pairs scans on drawn instances crowded with contacts, and the
-dominating-set pipeline built on them is total."""
+dominating-set pipeline built on them is total.  The sets of the set
+system come from proper crossings only, so they match the cross-level
+reference sets wherever no touching contact makes two crosses meet."""
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpaths.errors import GeneralPositionViolation
 from gridpaths.generators import gen_degree3_graph
 from gridpaths.geometry import (
     GridPath,
     Mode,
     Representation,
+    _proper_cross,
     build_graph,
     hv_contacts,
     is_one_string,
@@ -23,7 +25,6 @@ from gridpaths.geometry import (
 from gridpaths.mds_epg import check_non_containment
 from gridpaths.mds_vpg import (
     NetParams,
-    _refuse_touching,
     approx_mds_one_string,
     build_cross,
     build_set_system,
@@ -41,7 +42,7 @@ from conftest import (
     pairwise_one_string,
     pairwise_sets,
     pairwise_shared_edges,
-    touching_refusal,
+    touching_crosses_meet,
     v_points,
 )
 
@@ -169,29 +170,68 @@ def test_one_string_matches_pairwise(paths):
     assert is_one_string(rep) == pairwise_one_string(rep)
 
 
+def closed_neighbourhood_sets(rep):
+    """Per path, the sorted ids of its closed neighbourhood, by point
+    enumeration."""
+    paths = rep.paths
+    return [sorted(q.id for q in paths if q is p or hand_vpg_adjacent(p, q)) for p in paths]
+
+
+def owner_sets(rep, sets):
+    """Per set, the sorted ids of the paths owning its elements."""
+    return [sorted({rep.paths[e // 2].id for e in members}) for members in sets]
+
+
+def dominates(rep, seed=0):
+    return build_graph(rep).is_dominating_set(approx_mds_one_string(rep, NetParams(rng_seed=seed)))
+
+
 @PROPERTY
 @given(path_lists(max_size=18))
 def test_set_system_matches_pairwise(paths):
+    """The cross-level sets where no touching contact makes two crosses
+    meet; elsewhere the pipeline's answer dominates."""
     rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
-    assert build_set_system(rep).sets == pairwise_sets(rep)
+    if touching_crosses_meet(rep):
+        assert dominates(rep)
+    else:
+        assert build_set_system(rep).sets == pairwise_sets(rep)
 
 
 @PROPERTY
 @given(contact_lists())
 def test_sets_from_crossings_match_contact_tests(paths):
-    """Filling proper crossings untested gives the sets, and so the touching
-    refusal, that testing all four supports of every contact pair gives."""
+    """Filling proper crossings untested gives the sets that testing all
+    four supports of every contact pair gives, wherever no touching contact
+    makes two crosses meet.  On every one-string input each set's owners
+    are exactly its path's closed neighbourhood, so hitting sets and
+    dominating sets pair, and the pipeline's answer dominates."""
     rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
     system = build_set_system(rep)
-    reference = contact_sets(rep)
-    assert system.sets == reference
-    refused = touching_refusal(rep, reference)
-    if refused is None:
-        _refuse_touching(system)
+    assert owner_sets(rep, system.sets) == closed_neighbourhood_sets(rep)
+    if touching_crosses_meet(rep):
+        assert dominates(rep)
     else:
-        with pytest.raises(GeneralPositionViolation) as info:
-            _refuse_touching(system)
-        assert str(info.value).startswith("paths {} and {} only touch".format(*refused))
+        assert system.sets == contact_sets(rep)
+
+
+@PROPERTY
+@given(path_lists())
+def test_shrunk_parts_meet_exactly_at_proper_crossings(paths):
+    """h's horizontal part and v's vertical part, each shrunk by one unit at
+    both ends, kept closed and dropped when empty, meet exactly when h's
+    horizontal part properly crosses v's vertical part: the crossing-only
+    sets are still axis-parallel segment intersections."""
+    def shrunk(span):
+        lo, hi = span[0] + 1, span[1] - 1
+        return (lo, hi) if lo <= hi else None
+
+    for h, v in itertools.product(paths, repeat=2):
+        h_part, v_part = shrunk(h.h_span), shrunk(v.v_span)
+        meet = (h_part is not None and v_part is not None
+                and h_part[0] <= v.corner.x <= h_part[1]
+                and v_part[0] <= h.corner.y <= v_part[1])
+        assert meet == (_proper_cross(h, v) is not None)
 
 
 @PROPERTY
@@ -207,21 +247,11 @@ def test_element_sets_transpose_sets(paths):
 @PROPERTY
 @given(path_lists(), st.integers(0, 3))
 def test_mds_pipeline_is_total(paths, seed):
-    """The pipeline returns a dominating set, or refuses input with a pair
-    of paths that only touch while their crosses meet; it never fails
-    internally (a RuntimeError would fail this test)."""
-    rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
-    touching = any(
-        crosses_intersect(build_cross(a), build_cross(b)) and not hand_vpg_adjacent(a, b)
-        for a, b in itertools.combinations(rep.paths, 2)
-    )
-    try:
-        ds = approx_mds_one_string(rep, NetParams(rng_seed=seed))
-    except GeneralPositionViolation:
-        assert touching
-    else:
-        assert not touching
-        assert build_graph(rep).is_dominating_set(ds)
+    """The pipeline returns a dominating set on every one-string input,
+    touching contacts, zero-length arms and shared corners included; it
+    never refuses and never fails internally (a RuntimeError would fail
+    this test)."""
+    assert dominates(Representation(Mode.VPG, tuple(one_string_subset(paths))), seed)
 
 
 @PROPERTY

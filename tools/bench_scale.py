@@ -10,9 +10,9 @@ benchmark's own generator, `benchmark/gen.vpg_one_string(random.Random(1),
 n, 2n, n // 5)`, and times the library calls `build_graph`, `is_one_string`
 and `build_set_system` on each, then the solver `approx_mds_one_string`
 with net seed 1, and its `bg_hitting_set` alone on a built set system.  At
-the same sizes it times EPG `build_graph` on
-`benchmark/gen.epg_double_crossing(random.Random(1), n, n // 3, 4)`, the
-epg-mix workload's double-crossing family, and `approx_mis` on
+the same sizes it times EPG `build_graph` and the solver `greedy_line_mds`
+on `benchmark/gen.epg_double_crossing(random.Random(1), n, n // 3, 4)`,
+the epg-mix workload's double-crossing family, and `approx_mis` on
 `benchmark/gen.vpg_mixed(random.Random(1), n, n, round(2.2 * n ** 0.5))`,
 whose answer size is recorded, or its `TooLarge` refusal as the result.
 
@@ -50,6 +50,7 @@ import gen  # noqa: E402
 from gridpaths.errors import TooLarge  # noqa: E402
 from gridpaths.geometry import build_graph, is_one_string  # noqa: E402
 from gridpaths.instance_io import parse_instance  # noqa: E402
+from gridpaths.mds_epg import greedy_line_mds  # noqa: E402
 from gridpaths.mds_vpg import (  # noqa: E402
     NetParams,
     approx_mds_one_string,
@@ -121,6 +122,8 @@ def measure(n: int, seed: int) -> dict:
     )
     epg_text = gen.instance_text("epg", gen.epg_double_crossing(random.Random(seed), n, n // 3, 4))
     epg_ms, epg_graph = _time(build_graph, lambda: parse_instance(epg_text).rep)
+    greedy_ms, greedy = _time(greedy_line_mds, lambda: parse_instance(epg_text).rep,
+                              SOLVER_REPEATS)
     mixed = gen.vpg_mixed(random.Random(seed), n, n, round(2.2 * n ** 0.5))
     mixed_text = gen.instance_text("vpg", mixed)
     mis_ms, mis = _time(_mis_or_refusal, lambda: parse_instance(mixed_text).rep, SOLVER_REPEATS)
@@ -142,6 +145,9 @@ def measure(n: int, seed: int) -> dict:
         "bg_hitting_set_share": round(hitting_ms / mds_ms, 3),
         "epg_dc_edges": len(epg_graph.edges()),
         "epg_dc_build_graph_ms": round(epg_ms, 2),
+        "epg_dc_greedy_size": len(greedy),
+        "epg_dc_greedy_digest": _digest(greedy),
+        "greedy_line_mds_ms": round(greedy_ms, 2),
         "mis_size": f"TooLarge: {mis}" if refused else len(mis),
         "mis_digest": None if refused else _digest(mis),
         "approx_mis_ms": round(mis_ms, 2),
@@ -161,7 +167,8 @@ def main() -> int:
     doc = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
     doc["about"] = (
         "Raw wall-time ms of library calls on benchmark/gen.vpg_one_string("
-        "random.Random(seed), n, 2n, n // 5), and epg_dc_* of EPG build_graph on "
+        "random.Random(seed), n, 2n, n // 5), and epg_dc_* of EPG build_graph and "
+        "greedy_line_mds_ms of greedy_line_mds (epg_dc_greedy_size: answer size) on "
         "benchmark/gen.epg_double_crossing(random.Random(seed), n, n // 3, 4), and "
         "approx_mis_ms of approx_mis on benchmark/gen.vpg_mixed(random.Random(seed), "
         "n, n, round(2.2 * n ** 0.5)) (mis_size: answer size, or the TooLarge refusal); "
