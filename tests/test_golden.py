@@ -33,9 +33,16 @@ import hashlib
 import json
 import random
 
-from gridpaths.exact import brute_mds, brute_mis
+from gridpaths.exact import brute_hs, brute_mds, brute_mis
 from gridpaths.generators import gen_degree3_graph
-from gridpaths.geometry import GridPath, Mode, PathType, Representation, build_graph
+from gridpaths.geometry import (
+    GridPath,
+    Mode,
+    PathType,
+    Representation,
+    build_graph,
+    is_one_string,
+)
 from gridpaths.mds_epg import greedy_line_mds
 from gridpaths.mds_vpg import NetParams, approx_mds_one_string, build_set_system
 from gridpaths.mis import approx_mis, approx_mis_single_type, split_by_type
@@ -234,6 +241,21 @@ def test_exact_oracle_answers():
     answers.append(sorted(brute_mds(build_graph(gadget(2, 6, 7)), cap=44)))
     assert digest(answers) == (
         "84c7cd56159f18ffa16481840cbb8353e321c083b15905fef92dde6e1051dce2"
+    )
+
+
+def test_exact_hitting_set_lines():
+    # The "axis owner" lines that `gridpaths exact hs` prints and the
+    # benchmark's desk-exact op compares, over the one-string desk instances.
+    answers = []
+    for rep in DESK:
+        if rep.mode is Mode.VPG and is_one_string(rep):
+            system = build_set_system(rep)
+            answers.append(sorted(f"{system.universe[e].axis.value} {system.universe[e].owner}"
+                                  for e in brute_hs(system)))
+    assert len(answers) == 30
+    assert digest(answers) == (
+        "823661ac02d41bde9883786b9d595a4ce5558a5c227743d3a7421b1b8e0f95ed"
     )
 
 
