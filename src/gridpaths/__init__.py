@@ -27,27 +27,22 @@ from .geometry import (
     Representation,
     build_graph,
     classify_type,
-    crossing_points,
     epg_adjacent,
     is_one_string,
-    split_neighbors,
     vpg_adjacent,
     weak_general_position,
 )
 from .mis import approx_mis, approx_mis_single_type, compute_xmed, partition_LMR, split_by_type
 from .mds_vpg import (
     Axis,
-    Cross,
     NetParams,
     Segment,
     SetSystem,
     approx_mds_one_string,
     axis_net,
     bg_hitting_set,
-    build_cross,
     build_set_system,
     combined_net,
-    crosses_intersect,
     ds_to_hs,
     hs_to_ds,
     verify_hitting,
@@ -106,10 +101,8 @@ __all__ = [
     "Representation",
     "build_graph",
     "classify_type",
-    "crossing_points",
     "epg_adjacent",
     "is_one_string",
-    "split_neighbors",
     "vpg_adjacent",
     "weak_general_position",
     # mis
@@ -120,17 +113,14 @@ __all__ = [
     "split_by_type",
     # mds_vpg
     "Axis",
-    "Cross",
     "NetParams",
     "Segment",
     "SetSystem",
     "approx_mds_one_string",
     "axis_net",
     "bg_hitting_set",
-    "build_cross",
     "build_set_system",
     "combined_net",
-    "crosses_intersect",
     "ds_to_hs",
     "hs_to_ds",
     "verify_hitting",

@@ -44,6 +44,17 @@ def _id_lines(ids) -> str:
     return "".join(f"{i}\n" for i in sorted(ids))
 
 
+def _count(text: str) -> int:
+    """argparse type of a count option: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _cmd_gen_vpg(args) -> int:
     rep = generators.gen_vpg(args.n, args.seed, one_string=args.one_string)
     _write_out(args, emit_instance(rep))
@@ -178,6 +189,9 @@ def _cmd_bench(args) -> int:
     except ValueError:
         print("--sizes expects LO:HI", file=sys.stderr)
         return 2
+    if lo < 0:
+        print("--sizes expects LO >= 0", file=sys.stderr)
+        return 2
     rows = []
     for n in range(lo, hi + 1):
         for seed in range(args.seeds):
@@ -225,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-vpg", help="generate a random VPG instance")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--one-string", action="store_true")
     p.add_argument("--output")
@@ -234,14 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-epg", help="generate a restricted EPG instance")
     p.add_argument("--family", choices=("double-crossing", "vertical-crossing"),
                    required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_gen_epg)
 
     p = sub.add_parser("gen-graph", help="generate a max-degree-3 graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--m", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_gen_graph)
@@ -290,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--algo", choices=tuple(_FAMILY_FOR_ALGO), required=True)
     p.add_argument("--sizes", required=True, help="inclusive range LO:HI")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_count, default=3)
     p.add_argument("--csv")
     p.set_defaults(handler=_cmd_bench)
 

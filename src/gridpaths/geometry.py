@@ -95,12 +95,6 @@ class Representation:
         if len(set(ids)) != len(ids):
             raise ValueError("path ids must be distinct")
 
-    def path_by_id(self, path_id: str) -> GridPath:
-        for p in self.paths:
-            if p.id == path_id:
-                return p
-        raise UnknownId(path_id)
-
     @cached_property
     def _shared_edges(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Index pairs sharing a row edge, and those sharing a column edge."""
@@ -267,13 +261,6 @@ class IntersectionGraph:
         return graph
 
 
-class Crossings(NamedTuple):
-    """Proper crossing points plus a marker for adjacency-forming overlaps."""
-
-    points: tuple[GridPoint, ...]
-    overlap: bool
-
-
 def _minmax(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
@@ -331,35 +318,6 @@ def vpg_adjacent(a: GridPath, b: GridPath) -> bool:
 def epg_adjacent(a: GridPath, b: GridPath) -> bool:
     """EPG adjacency: the paths share at least one unit grid edge."""
     return _collinear_overlap(a, b)
-
-
-def crossing_points(a: GridPath, b: GridPath) -> Crossings:
-    """All proper transversal crossing points of a and b, sorted
-    lexicographically; adjacency-forming collinear overlaps are reported via
-    the overlap marker rather than as enumerated points."""
-    pts = []
-    p = _proper_cross(a, b)
-    if p is not None:
-        pts.append(p)
-    q = _proper_cross(b, a)
-    if q is not None:
-        pts.append(q)
-    return Crossings(tuple(sorted(pts)), _collinear_overlap(a, b))
-
-
-def point_sets_intersect(a: GridPath, b: GridPath) -> bool:
-    """True iff the closed point sets of the two paths share any point,
-    including bare touching contacts that do not make the paths adjacent."""
-    for h, v in ((a, b), (b, a)):
-        hx_lo, hx_hi = h.h_span
-        vy_lo, vy_hi = v.v_span
-        if hx_lo <= v.corner.x <= hx_hi and vy_lo <= h.corner.y <= vy_hi:
-            return True
-    if a.corner.y == b.corner.y and _overlap_len(a.h_span, b.h_span) >= 0:
-        return True
-    if a.corner.x == b.corner.x and _overlap_len(a.v_span, b.v_span) >= 0:
-        return True
-    return False
 
 
 def weak_general_position(rep: Representation) -> bool:
@@ -478,23 +436,3 @@ def is_one_string(rep: Representation) -> bool:
     rows, cols = rep._shared_edges
     return not rows and not cols and not rep._contacts[1]
 
-
-def split_neighbors(rep: Representation, path_id: str) -> tuple[set[str], set[str]]:
-    """Partition the open neighborhood of a path into the neighbors sharing a
-    grid edge with its horizontal part and those sharing one with its
-    vertical part.  Requires EPG mode and weak general position."""
-    if rep.mode is not Mode.EPG:
-        raise WrongMode("neighbor split applies to EPG representations")
-    if not weak_general_position(rep):
-        raise GeneralPositionViolation("two EPG paths share a corner")
-    p = rep.path_by_id(path_id)
-    h_nb: set[str] = set()
-    v_nb: set[str] = set()
-    for q in rep.paths:
-        if q.id == path_id:
-            continue
-        if q.corner.y == p.corner.y and _overlap_len(p.h_span, q.h_span) >= 1:
-            h_nb.add(q.id)
-        if q.corner.x == p.corner.x and _overlap_len(p.v_span, q.v_span) >= 1:
-            v_nb.add(q.id)
-    return h_nb, v_nb

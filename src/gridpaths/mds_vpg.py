@@ -1,45 +1,44 @@
 """Dominating sets on one-string B1-VPG representations via hitting sets.
 
-Every path gets a cross of two supporting segments, slightly offset copies
-of its parts: the corner ends stick out a quarter grid unit past the corner
-and the tip ends are pulled back three quarters.  The universe holds the
-2n supports.  Dominating sets translate to hitting sets over the supports
-and back, and the hitting set itself is approximated by weighted
-epsilon-net sampling inside an iterative-doubling loop.  The loop reweights
-in phases: each net is verified once, and every light set it misses has
-its weight doubled in that one pass, so a solve draws a handful of nets
-per guess rather than one per doubling.  A set is heavy for an eps-net
-when its weighted mass reaches eps times the total; with eps = p/q that is
-tested as mass * q >= p * total, exactly and in integers.  The loop keeps
-every set's mass per axis as it doubles weights, so a net reads the masses
-instead of re-summing them.
+The universe holds the paths' own parts: element 2k is path k's horizontal
+part and 2k + 1 its vertical part, each a closed segment in grid units (a
+zero-length part is its corner point).  Dominating sets translate to
+hitting sets over the parts and back, and the hitting set itself is
+approximated by weighted epsilon-net sampling inside an iterative-doubling
+loop.  The loop reweights in phases: each net is verified once, and every
+light set it misses has its weight doubled in that one pass, so a solve
+draws a handful of nets per guess rather than one per doubling.  A set is
+heavy for an eps-net when its weighted mass reaches eps times the total;
+with eps = p/q that is tested as mass * q >= p * total, exactly and in
+integers.  The loop keeps every set's mass per axis as it doubles weights,
+so a net reads the masses instead of re-summing them.
 
 The sets come from the representation's proper crossings, swept once with
-the graph and the one-string check: set i holds i's own two supports and,
-where path i's horizontal part properly crosses path j's vertical part, j's
-vertical support (and set j holds i's horizontal support).  No segment is
+the graph and the one-string check: set i holds i's own two parts and,
+where path i's horizontal part properly crosses path j's vertical part,
+j's vertical part (and set j holds i's horizontal part).  No segment is
 tested.  On every one-string input these sets pair dominating sets with
 hitting sets exactly: every member of set i belongs to a path in i's
 closed neighbourhood, and each neighbour crosses i exactly once, so one of
-its supports is in set i.  Touching contacts (zero-length arms, shared
-corners) add nothing, although the crosses can meet there.
+its parts is in set i.  Touching contacts (zero-length arms, shared
+corners) add nothing.
 
-The system is still a segment range space per axis.  With integer
-coordinates, h's horizontal part shrunk by one unit at both ends and v's
-vertical part shrunk the same way (each kept closed, an emptied part
-dropped) meet exactly when h's horizontal part properly crosses v's
-vertical part; `test_shrunk_parts_meet_exactly_at_proper_crossings` in
-tests/test_sweep.py checks this.  So each axis's sets are axis-parallel
-segment intersections, as with the crosses.
+The system is a segment range space per axis.  With integer coordinates,
+h's horizontal part shrunk by one unit at both ends and v's vertical part
+shrunk the same way (each kept closed, an emptied part dropped) meet
+exactly when h's horizontal part properly crosses v's vertical part, so
+an element is in a set exactly when the two shrunk parts meet; the
+properties `test_shrunk_parts_meet_exactly_at_proper_crossings` and
+`test_sets_are_shrunk_part_meetings` in tests/test_sweep.py check both
+steps.  The paper's crosses, quarter-unit offset copies of the parts, are
+kept in tests/conftest.py as the reference that acceptance criterion 2
+checks against.
 
 The nets are plain weighted samples of 4 (1/eps) ln(1/eps + 2) elements.
 Nets of size O((1/eps) log(1/eps)) certify an O(log OPT) approximation
 factor (Bronnimann and Goodrich, 1995), and that is the factor this module
 guarantees.  The paper's O(1) factor needs nets of size O(1/eps) for this
 set system, which no net finder here provides.
-
-All coordinates in this module are quarter units (public grid coordinates
-times four), which keeps the quarter offsets exact in integers.
 """
 from __future__ import annotations
 
@@ -56,17 +55,8 @@ from .errors import (
     NotOneString,
     UnknownId,
 )
-from .geometry import (
-    GridPath,
-    IntersectionGraph,
-    Representation,
-    build_graph,
-    is_one_string,
-)
+from .geometry import IntersectionGraph, Representation, build_graph, is_one_string
 
-SCALE = 4  # quarter units per grid unit
-_CORNER_OVERHANG = 1  # one quarter past the corner
-_TIP_PULLBACK = 3  # three quarters short of the tip
 _NET_ATTEMPTS = 2  # combined-net draws per round before the whole-universe net
 _SAMPLE_CONSTANT = 4.0  # net size factor on (1/eps) log(1/eps + 2)
 _MAX_RESAMPLES = 64  # verified-net draws per axis before NetFailure
@@ -82,7 +72,7 @@ _AXES = (Axis.H, Axis.V)  # element e lies on axis _AXES[e & 1]
 
 @dataclass(frozen=True)
 class Segment:
-    """Axis-parallel supporting segment in quarter-unit coordinates.
+    """A path's axis-parallel part in grid units.
 
     anchor is the fixed coordinate (y for horizontal, x for vertical);
     the closed span [lo, hi] runs along the segment's axis.
@@ -100,14 +90,6 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class Cross:
-    owner: str
-    h_support: Segment
-    v_support: Segment
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class NetParams:
     """The seed of the net sampler's random stream."""
 
@@ -116,10 +98,10 @@ class NetParams:
 
 @dataclass
 class SetSystem:
-    """Hitting-set system: two supporting segments per path (path k's
-    horizontal one at element 2k and its vertical one at 2k + 1, in
-    representation order), one set per cross, plus the mutable weights
-    driving the reweighting loop.
+    """Hitting-set system: the two parts of every path (path k's horizontal
+    part at element 2k and its vertical part at 2k + 1, in representation
+    order), one set per path, plus the mutable weights driving the
+    reweighting loop.
 
     axis_elements, axis_sets (each set restricted to an axis's elements) and
     element_sets (per element, the ascending indices of the sets holding it)
@@ -155,52 +137,9 @@ class SetSystem:
         }
 
 
-def _support(axis: Axis, anchor: int, corner_c: int, tip_c: int, owner: str) -> tuple[Segment, bool]:
-    """One supporting segment along an arm running corner_c -> tip_c.
-
-    Arms shorter than one grid unit would invert after the tip pullback;
-    those collapse to a point at the corner-side end and are flagged.
-    """
-    direction = 1 if tip_c >= corner_c else -1
-    corner_end = SCALE * corner_c - direction * _CORNER_OVERHANG
-    tip_end = SCALE * tip_c - direction * _TIP_PULLBACK
-    if (tip_end - corner_end) * direction < 0:
-        return Segment(axis, anchor, corner_end, corner_end, owner), True
-    lo, hi = min(corner_end, tip_end), max(corner_end, tip_end)
-    return Segment(axis, anchor, lo, hi, owner), False
-
-
-def build_cross(path: GridPath) -> Cross:
-    """The cross of a path: offset copies of its two parts in quarter units."""
-    h_seg, h_bad = _support(
-        Axis.H, SCALE * path.corner.y, path.corner.x, path.h_tip.x, path.id
-    )
-    v_seg, v_bad = _support(
-        Axis.V, SCALE * path.corner.x, path.corner.y, path.v_tip.y, path.id
-    )
-    return Cross(path.id, h_seg, v_seg, degenerate=h_bad or v_bad)
-
-
-def segments_intersect(a: Segment, b: Segment) -> bool:
-    """Closed point-set intersection of two axis-parallel segments."""
-    if a.axis is b.axis:
-        return a.anchor == b.anchor and max(a.lo, b.lo) <= min(a.hi, b.hi)
-    h, v = (a, b) if a.axis is Axis.H else (b, a)
-    return h.lo <= v.anchor <= h.hi and v.lo <= h.anchor <= v.hi
-
-
-def crosses_intersect(a: Cross, b: Cross) -> bool:
-    """True iff any supporting segment of a meets any supporting segment of b."""
-    for s in (a.h_support, a.v_support):
-        for t in (b.h_support, b.v_support):
-            if segments_intersect(s, t):
-                return True
-    return False
-
-
 def build_set_system(rep: Representation) -> SetSystem:
-    """Universe of all 2n supporting segments and, per path, the set of its
-    own two supports and a support of every path it properly crosses.
+    """Universe of the paths' 2n parts and, per path, the set of its own two
+    parts and a part of every path it properly crosses.
 
     The crossings are the representation's kept ones, which the one-string
     check and the graph read too.  Where i's horizontal part properly
@@ -208,7 +147,10 @@ def build_set_system(rep: Representation) -> SetSystem:
     one-string pair crosses at most once, so no member comes twice."""
     if not is_one_string(rep):
         raise NotOneString("set system requires a one-string representation")
-    universe = [s for c in map(build_cross, rep.paths) for s in (c.h_support, c.v_support)]
+    universe = []
+    for p in rep.paths:
+        universe.append(Segment(Axis.H, p.corner.y, *p.h_span, p.id))
+        universe.append(Segment(Axis.V, p.corner.x, *p.v_span, p.id))
     members = [[2 * idx, 2 * idx + 1] for idx in range(len(rep.paths))]
     for i, j in rep._contacts[0]:
         members[i].append(2 * j + 1)
@@ -223,7 +165,7 @@ def build_set_system(rep: Representation) -> SetSystem:
 
 
 def ds_to_hs(ds: set[str], system: SetSystem) -> set[int]:
-    """Both supporting segments of every dominating path; hits every set."""
+    """Both parts of every dominating path; hits every set."""
     known = set(system.path_ids)
     for p in ds:
         if p not in known:

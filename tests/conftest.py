@@ -3,12 +3,14 @@
 These are deliberately dumber, independent implementations: point-set
 enumeration instead of interval arithmetic, and size-ascending subset scans
 instead of branch and bound.  They exist so the library is checked against
-code that shares none of its logic.
+code that shares none of its logic.  The paper's crosses live here too, as
+the reference construction the set system is checked against.
 """
 from __future__ import annotations
 
 import importlib.util
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,12 +22,11 @@ from gridpaths.geometry import (
     Mode,
     Representation,
     classify_type,
-    crossing_points,
     epg_adjacent,
     hv_contacts,
     vpg_adjacent,
 )
-from gridpaths.mds_vpg import build_cross, crosses_intersect, segments_intersect
+from gridpaths.mds_vpg import Axis, Segment
 from gridpaths.reduction import SimpleGraph
 
 
@@ -73,6 +74,79 @@ def hand_crossings(a: GridPath, b: GridPath) -> tuple[list[tuple[int, int]], boo
 def hand_vpg_adjacent(a: GridPath, b: GridPath) -> bool:
     points, overlap = hand_crossings(a, b)
     return bool(points) or overlap
+
+
+def split_neighbors(rep: Representation, path_id: str) -> tuple[set[str], set[str]]:
+    """The paths sharing a grid edge (two or more grid points) with the
+    path's horizontal part, and those sharing one with its vertical part."""
+    p = next(q for q in rep.paths if q.id == path_id)
+    others = [q for q in rep.paths if q.id != path_id]
+    return (
+        {q.id for q in others if len(h_points(p) & h_points(q)) >= 2},
+        {q.id for q in others if len(v_points(p) & v_points(q)) >= 2},
+    )
+
+
+# The paper's crosses: each path's two parts as supporting segments in
+# quarter units, the corner end a quarter past the corner and the tip end
+# three quarters short of the tip.  The set system no longer builds them;
+# they are the reference of acceptance criterion 2 and of the cross-level
+# sets below.
+
+SCALE = 4  # quarter units per grid unit
+_CORNER_OVERHANG = 1  # one quarter past the corner
+_TIP_PULLBACK = 3  # three quarters short of the tip
+
+
+@dataclass(frozen=True)
+class Cross:
+    owner: str
+    h_support: Segment
+    v_support: Segment
+    degenerate: bool = False
+
+
+def _support(axis: Axis, anchor: int, corner_c: int, tip_c: int, owner: str) -> tuple[Segment, bool]:
+    """One supporting segment along an arm running corner_c -> tip_c.
+
+    Arms shorter than one grid unit would invert after the tip pullback;
+    those collapse to a point at the corner-side end and are flagged.
+    """
+    direction = 1 if tip_c >= corner_c else -1
+    corner_end = SCALE * corner_c - direction * _CORNER_OVERHANG
+    tip_end = SCALE * tip_c - direction * _TIP_PULLBACK
+    if (tip_end - corner_end) * direction < 0:
+        return Segment(axis, anchor, corner_end, corner_end, owner), True
+    lo, hi = min(corner_end, tip_end), max(corner_end, tip_end)
+    return Segment(axis, anchor, lo, hi, owner), False
+
+
+def build_cross(path: GridPath) -> Cross:
+    """The cross of a path: offset copies of its two parts in quarter units."""
+    h_seg, h_bad = _support(
+        Axis.H, SCALE * path.corner.y, path.corner.x, path.h_tip.x, path.id
+    )
+    v_seg, v_bad = _support(
+        Axis.V, SCALE * path.corner.x, path.corner.y, path.v_tip.y, path.id
+    )
+    return Cross(path.id, h_seg, v_seg, degenerate=h_bad or v_bad)
+
+
+def segments_intersect(a: Segment, b: Segment) -> bool:
+    """Closed point-set intersection of two axis-parallel segments."""
+    if a.axis is b.axis:
+        return a.anchor == b.anchor and max(a.lo, b.lo) <= min(a.hi, b.hi)
+    h, v = (a, b) if a.axis is Axis.H else (b, a)
+    return h.lo <= v.anchor <= h.hi and v.lo <= h.anchor <= v.hi
+
+
+def crosses_intersect(a: Cross, b: Cross) -> bool:
+    """True iff any supporting segment of a meets any supporting segment of b."""
+    for s in (a.h_support, a.v_support):
+        for t in (b.h_support, b.v_support):
+            if segments_intersect(s, t):
+                return True
+    return False
 
 
 def exhaustive_min_dominating(g: IntersectionGraph) -> set[str]:
@@ -135,9 +209,10 @@ def find_disjoint_optimum(g: IntersectionGraph, taboo: set[str], k: int) -> set[
     return None
 
 
-# All-pairs references for the swept pair generators.  They call the same
-# pairwise predicates as the library (those are checked against the point
-# enumerations above) but visit every pair, so a pair the sweep misses shows.
+# All-pairs references for the swept pair generators.  They call the
+# library's pairwise predicates (checked against the point enumerations
+# above) or those enumerations, but visit every pair, so a pair the sweep
+# misses shows.
 
 
 def pairwise_edges(rep: Representation) -> list[tuple[str, str]]:
@@ -149,13 +224,16 @@ def pairwise_edges(rep: Representation) -> list[tuple[str, str]]:
     return sorted(out)
 
 
+def breaks_one_string(p: GridPath, q: GridPath) -> bool:
+    """True iff the two paths are adjacent but do not cross exactly once."""
+    if not vpg_adjacent(p, q):
+        return False
+    pts, overlap = hand_crossings(p, q)
+    return overlap or len(pts) != 1
+
+
 def pairwise_one_string(rep: Representation) -> bool:
-    for p, q in itertools.combinations(rep.paths, 2):
-        if vpg_adjacent(p, q):
-            pts, overlap = crossing_points(p, q)
-            if overlap or len(pts) != 1:
-                return False
-    return True
+    return not any(breaks_one_string(p, q) for p, q in itertools.combinations(rep.paths, 2))
 
 
 def pairwise_sets(rep: Representation) -> list[list[int]]:

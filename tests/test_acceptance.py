@@ -17,24 +17,15 @@ from gridpaths.generators import (
     gen_epg_vertical_crossing,
     gen_vpg,
 )
-from gridpaths.geometry import (
-    GridPath,
-    build_graph,
-    crossing_points,
-    point_sets_intersect,
-    split_neighbors,
-    vpg_adjacent,
-)
+from gridpaths.geometry import GridPath, build_graph, vpg_adjacent
 from gridpaths.instance_io import emit_instance
 from gridpaths.mds_epg import greedy_line_mds
 from gridpaths.mds_vpg import (
     NetParams,
     approx_mds_one_string,
     bg_hitting_set,
-    build_cross,
     build_set_system,
     combined_net,
-    crosses_intersect,
     ds_to_hs,
     hs_to_ds,
     verify_hitting,
@@ -42,7 +33,14 @@ from gridpaths.mds_vpg import (
 from gridpaths.mis import approx_mis
 from gridpaths.reduction import SimpleGraph, map_back, reduce_vc_to_mds
 
-from conftest import find_disjoint_optimum
+from conftest import (
+    all_points,
+    build_cross,
+    crosses_intersect,
+    find_disjoint_optimum,
+    hand_crossings,
+    split_neighbors,
+)
 from test_golden import dense_vpg
 
 # Ratio bound for the dominating-set pipeline, pinned from the recorded
@@ -91,8 +89,8 @@ def test_criterion_2_cross_equivalence():
                           dx + rng.choice((-1, 1)) * rng.randint(1, 6),
                           dy + rng.choice((-1, 1)) * rng.randint(1, 6))
         ca, cb = build_cross(a), build_cross(b)
-        touch_only = point_sets_intersect(a, b) and not vpg_adjacent(a, b)
-        if touch_only or crossing_points(a, b).overlap or ca.degenerate or cb.degenerate:
+        touch_only = bool(all_points(a) & all_points(b)) and not vpg_adjacent(a, b)
+        if touch_only or hand_crossings(a, b)[1] or ca.degenerate or cb.degenerate:
             excluded += 1
             continue
         assert vpg_adjacent(a, b) == crosses_intersect(ca, cb)

@@ -193,8 +193,7 @@ class TestCliCommands:
 
     def test_shared_corner_exit_code(self, tmp_path, capsys):
         # One-string and not adjacent: the paths meet only at the shared
-        # corner (0, 0), where each corner overhang reaches the other's
-        # support; the dominating set needs both.
+        # corner (0, 0); the dominating set needs both.
         inst = tmp_path / "corner.txt"
         inst.write_text("mode vpg\npath a 0 0 3 3\npath b 0 0 -3 -3\n", encoding="utf-8")
         assert run(["verify", "--check", "one-string", "--input", str(inst)]) == 0
@@ -205,9 +204,9 @@ class TestCliCommands:
         assert capsys.readouterr() == ("a\nb\n", "")
 
     def test_exact_hs_on_shared_corner_dominates(self, tmp_path, capsys):
-        # Each path's set holds its own two supports only, so a minimum
-        # hitting set takes one support of each path, and its owners are
-        # the minimum dominating set {a, b}.
+        # Each path's set holds its own two parts only, so a minimum
+        # hitting set takes one part of each path, and its owners are the
+        # minimum dominating set {a, b}.
         inst = tmp_path / "corner.txt"
         inst.write_text("mode vpg\npath a 0 0 3 3\npath b 0 0 -3 -3\n", encoding="utf-8")
         assert run(["exact", "hs", "--input", str(inst)]) == 0
@@ -250,6 +249,21 @@ class TestCliCommands:
 
     def test_gen_graph_infeasible_exit_code(self, tmp_path):
         assert run(["gen-graph", "--n", "2", "--m", "3", "--seed", "0"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-vpg", "--n", "-1"],
+        ["gen-epg", "--family", "double-crossing", "--n", "-2"],
+        ["gen-graph", "--n", "-1", "--m", "0"],
+        ["gen-graph", "--n", "3", "--m", "-1"],
+        ["bench", "--family", "vpg-one-string", "--algo", "mis", "--sizes=-2:1"],
+        ["bench", "--family", "vpg-one-string", "--algo", "mis", "--sizes", "1:2",
+         "--seeds", "-1"],
+    ])
+    def test_negative_count_is_a_usage_error(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative" in captured.err or "LO >= 0" in captured.err
 
 
 class TestBench:

@@ -6,13 +6,7 @@ import pytest
 from gridpaths.errors import GeneralPositionViolation, WrongMode
 from gridpaths.exact import brute_mds
 from gridpaths.generators import gen_epg_double_crossing, gen_epg_vertical_crossing
-from gridpaths.geometry import (
-    GridPath,
-    Mode,
-    Representation,
-    build_graph,
-    split_neighbors,
-)
+from gridpaths.geometry import GridPath, Mode, Representation, build_graph
 from gridpaths.mds_epg import (
     check_non_containment,
     detect_horizontal_line,
@@ -23,7 +17,7 @@ from gridpaths.mds_epg import (
     order_paths,
 )
 
-from conftest import find_disjoint_optimum
+from conftest import find_disjoint_optimum, split_neighbors
 
 
 def P(pid, cx, cy, hx, vy):

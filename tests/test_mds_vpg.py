@@ -1,4 +1,4 @@
-"""Cross construction, hitting-set system, nets and the doubling pipeline."""
+"""The reference crosses, hitting-set system, nets and the doubling pipeline."""
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,26 +19,24 @@ from gridpaths.geometry import (
     Mode,
     Representation,
     build_graph,
-    crossing_points,
     is_one_string,
-    point_sets_intersect,
     vpg_adjacent,
 )
 from gridpaths.mds_vpg import (
     Axis,
     NetParams,
+    Segment,
     approx_mds_one_string,
     axis_net,
     bg_hitting_set,
-    build_cross,
     build_set_system,
     combined_net,
-    crosses_intersect,
     ds_to_hs,
     hs_to_ds,
     verify_hitting,
 )
 
+from conftest import all_points, build_cross, crosses_intersect, hand_crossings
 from test_golden import dense_vpg
 
 
@@ -84,6 +82,8 @@ def scan_net_soundness(system, net, eps):
 
 
 class TestBuildCross:
+    """The paper's crosses, kept in conftest as the reference construction."""
+
     def test_ll_support_offsets(self):
         cross = build_cross(P("a", 0, 0, 4, 4))
         # Quarter units: one quarter past the corner, three short of the tip.
@@ -143,8 +143,8 @@ class TestCrossesIntersect:
             b = P("b", dx, dy, dx + rng.choice((-1, 1)) * rng.randint(1, 5),
                   dy + rng.choice((-1, 1)) * rng.randint(1, 5))
             ca, cb = build_cross(a), build_cross(b)
-            touch_only = point_sets_intersect(a, b) and not vpg_adjacent(a, b)
-            overlap = crossing_points(a, b).overlap
+            touch_only = bool(all_points(a) & all_points(b)) and not vpg_adjacent(a, b)
+            overlap = hand_crossings(a, b)[1]
             if touch_only or overlap or ca.degenerate or cb.degenerate:
                 excluded += 1
                 continue
@@ -156,7 +156,7 @@ class TestCrossesIntersect:
 class TestBuildSetSystem:
     def test_single_path(self):
         system = build_set_system(Representation(Mode.VPG, (P("a", 0, 0, 3, 3),)))
-        assert len(system.universe) == 2
+        assert system.universe == [Segment(Axis.H, 0, 0, 3, "a"), Segment(Axis.V, 0, 0, 3, "a")]
         assert system.sets == [[0, 1]]
         assert system.weights == [1, 1]
 
@@ -190,9 +190,9 @@ class TestBuildSetSystem:
             )
 
     def test_same_axis_supports_never_share_an_edge(self):
-        # On one-string inputs, distinct paths' same-axis supports overlap in
-        # at most a point, so horizontal elements only ever hit vertical
-        # supports of other crosses.
+        # On one-string inputs, distinct paths' same-axis parts overlap in at
+        # most a point, so horizontal elements only ever meet vertical parts
+        # of other paths.
         for seed in range(30):
             system = build_set_system(one_string_rep(10, seed))
             segs = system.universe
@@ -514,9 +514,9 @@ class TestPipeline:
     def test_answers_touching_contact(self):
         # a's vertical arm has zero length and its corner lies on b's
         # vertical part: the paths only touch, but a's horizontal support
-        # overhangs a quarter unit across b's, so the crosses meet.  The
-        # sets come from proper crossings only, so each holds its own
-        # path's supports and the answer needs both paths.
+        # overhangs a quarter unit across b's, so the reference crosses
+        # meet.  The sets come from proper crossings only, so each holds
+        # its own path's parts and the answer needs both paths.
         a, b = P("a", 0, 2, -3, 2), P("b", 0, 0, 3, 4)
         assert not vpg_adjacent(a, b)
         assert crosses_intersect(build_cross(a), build_cross(b))

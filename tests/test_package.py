@@ -3,22 +3,21 @@ name leaves the public surface only by an edit to both."""
 import gridpaths
 
 PUBLIC = """
-    Axis Cross DegreeTooHigh GeneralPositionViolation GenerationExhausted
-    GridPath GridPathsError GridPoint Infeasible Instance IntersectionGraph
+    Axis DegreeTooHigh GeneralPositionViolation GenerationExhausted GridPath
+    GridPathsError GridPoint Infeasible Instance IntersectionGraph
     LayoutFailure Mode NetFailure NetParams NotDominating NotHitting
     NotOneString ParseError PathType ReductionInstance Representation Segment
     SetSystem SimpleGraph TooFewPaths TooLarge UnknownId WrongMode
     approx_mds_one_string approx_mis approx_mis_single_type axis_net
-    bg_hitting_set brute_hs brute_mds brute_mis brute_vc build_cross
-    build_graph build_set_system check_non_containment classify_type
-    combined_net compute_xmed crosses_intersect crossing_points
-    detect_horizontal_line detect_vertical_line ds_to_hs emit_graph
-    emit_instance epg_adjacent errors exact gadget_graph gen_degree3_graph
-    gen_epg_double_crossing gen_epg_vertical_crossing gen_vpg generators
-    geometry greedy_line_mds hs_to_ds instance_io is_double_crossing
-    is_one_string is_vertical_crossing map_back mds_epg mds_vpg mis
-    order_paths parse_graph parse_instance partition_LMR reduce_vc_to_mds
-    reduction split_by_type split_neighbors verify_hitting verify_reduction
+    bg_hitting_set brute_hs brute_mds brute_mis brute_vc build_graph
+    build_set_system check_non_containment classify_type combined_net
+    compute_xmed detect_horizontal_line detect_vertical_line ds_to_hs
+    emit_graph emit_instance epg_adjacent errors exact gadget_graph
+    gen_degree3_graph gen_epg_double_crossing gen_epg_vertical_crossing
+    gen_vpg generators geometry greedy_line_mds hs_to_ds instance_io
+    is_double_crossing is_one_string is_vertical_crossing map_back mds_epg
+    mds_vpg mis order_paths parse_graph parse_instance partition_LMR
+    reduce_vc_to_mds reduction split_by_type verify_hitting verify_reduction
     vpg_adjacent weak_general_position
 """.split()
 

@@ -23,18 +23,15 @@ from gridpaths.geometry import (
     shared_edge_pairs,
 )
 from gridpaths.mds_epg import check_non_containment
-from gridpaths.mds_vpg import (
-    NetParams,
-    approx_mds_one_string,
-    build_cross,
-    build_set_system,
-    crosses_intersect,
-)
+from gridpaths.mds_vpg import Axis, NetParams, approx_mds_one_string, build_set_system
 from gridpaths.reduction import reduce_vc_to_mds
 
 from conftest import (
     all_points,
+    breaks_one_string,
+    build_cross,
     contact_sets,
+    crosses_intersect,
     h_points,
     hand_vpg_adjacent,
     pairwise_edges,
@@ -105,7 +102,7 @@ def one_string_subset(paths):
     """Greedily keep the paths that leave the kept set one-string."""
     kept = []
     for p in paths:
-        if pairwise_one_string(Representation(Mode.VPG, (*kept, p))):
+        if not any(breaks_one_string(q, p) for q in kept):
             kept.append(p)
     return kept
 
@@ -232,6 +229,45 @@ def test_shrunk_parts_meet_exactly_at_proper_crossings(paths):
                 and h_part[0] <= v.corner.x <= h_part[1]
                 and v_part[0] <= h.corner.y <= v_part[1])
         assert meet == (_proper_cross(h, v) is not None)
+
+
+def segment_points(segment):
+    """The grid points of a universe element."""
+    if segment.axis is Axis.H:
+        return {(x, segment.anchor) for x in range(segment.lo, segment.hi + 1)}
+    return {(segment.anchor, y) for y in range(segment.lo, segment.hi + 1)}
+
+
+def shrunk(segment):
+    """The segment's span shrunk by one unit at both ends, or None when that
+    empties it."""
+    lo, hi = segment.lo + 1, segment.hi - 1
+    return (lo, hi) if lo <= hi else None
+
+
+@PROPERTY
+@given(path_lists(max_size=18))
+def test_sets_are_shrunk_part_meetings(paths):
+    """Elements 2k and 2k + 1 are path k's horizontal and vertical parts, and
+    an element e that is not one of set i's own lies in set i exactly when
+    e, shrunk by one unit at both ends, meets i's part on the other axis,
+    shrunk the same way: each axis's sets are segment intersections."""
+    rep = Representation(Mode.VPG, tuple(one_string_subset(paths)))
+    system = build_set_system(rep)
+    assert [segment_points(s) for s in system.universe] == [
+        points(p) for p in rep.paths for points in (h_points, v_points)
+    ]
+    for i, members in enumerate(system.sets):
+        for e, part in enumerate(system.universe):
+            if e // 2 == i:
+                continue
+            other = system.universe[2 * i + 1 - (e & 1)]
+            h, v = (part, other) if part.axis is Axis.H else (other, part)
+            h_span, v_span = shrunk(h), shrunk(v)
+            meet = (h_span is not None and v_span is not None
+                    and h_span[0] <= v.anchor <= h_span[1]
+                    and v_span[0] <= h.anchor <= v_span[1])
+            assert (e in members) == meet
 
 
 @PROPERTY
