@@ -14,9 +14,9 @@ from gridpaths.geometry import (
     Mode,
     PathType,
     Representation,
-    build_graph,
     _collinear_overlap,
     _proper_cross,
+    build_graph,
     classify_type,
     epg_adjacent,
     is_one_string,

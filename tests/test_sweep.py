@@ -212,6 +212,18 @@ def test_sets_from_crossings_match_contact_tests(paths):
         assert system.sets == contact_sets(rep)
 
 
+def shrunk_parts_meet(h_span, row, v_span, column):
+    """Whether a horizontal part on row and a vertical part on column meet
+    once each is shrunk by one unit at both ends, kept closed and dropped
+    when empty."""
+    def shrunk(span):
+        lo, hi = span[0] + 1, span[1] - 1
+        return (lo, hi) if lo <= hi else None
+
+    h, v = shrunk(h_span), shrunk(v_span)
+    return h is not None and v is not None and h[0] <= column <= h[1] and v[0] <= row <= v[1]
+
+
 @PROPERTY
 @given(path_lists())
 def test_shrunk_parts_meet_exactly_at_proper_crossings(paths):
@@ -219,15 +231,8 @@ def test_shrunk_parts_meet_exactly_at_proper_crossings(paths):
     both ends, kept closed and dropped when empty, meet exactly when h's
     horizontal part properly crosses v's vertical part: the crossing-only
     sets are still axis-parallel segment intersections."""
-    def shrunk(span):
-        lo, hi = span[0] + 1, span[1] - 1
-        return (lo, hi) if lo <= hi else None
-
     for h, v in itertools.product(paths, repeat=2):
-        h_part, v_part = shrunk(h.h_span), shrunk(v.v_span)
-        meet = (h_part is not None and v_part is not None
-                and h_part[0] <= v.corner.x <= h_part[1]
-                and v_part[0] <= h.corner.y <= v_part[1])
+        meet = shrunk_parts_meet(h.h_span, h.corner.y, v.v_span, v.corner.x)
         assert meet == (_proper_cross(h, v) is not None)
 
 
@@ -236,13 +241,6 @@ def segment_points(segment):
     if segment.axis is Axis.H:
         return {(x, segment.anchor) for x in range(segment.lo, segment.hi + 1)}
     return {(segment.anchor, y) for y in range(segment.lo, segment.hi + 1)}
-
-
-def shrunk(segment):
-    """The segment's span shrunk by one unit at both ends, or None when that
-    empties it."""
-    lo, hi = segment.lo + 1, segment.hi - 1
-    return (lo, hi) if lo <= hi else None
 
 
 @PROPERTY
@@ -263,10 +261,7 @@ def test_sets_are_shrunk_part_meetings(paths):
                 continue
             other = system.universe[2 * i + 1 - (e & 1)]
             h, v = (part, other) if part.axis is Axis.H else (other, part)
-            h_span, v_span = shrunk(h), shrunk(v)
-            meet = (h_span is not None and v_span is not None
-                    and h_span[0] <= v.anchor <= h_span[1]
-                    and v_span[0] <= h.anchor <= v_span[1])
+            meet = shrunk_parts_meet((h.lo, h.hi), h.anchor, (v.lo, v.hi), v.anchor)
             assert (e in members) == meet
 
 
